@@ -16,8 +16,9 @@ with the inputs; nothing downstream measures them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .circuit import Circuit, ccx, ccxx, cx, lower
 from .qsim import OutcomeDistribution, new_basis_state, outcome_distribution, run_circuit
@@ -25,8 +26,6 @@ from .qsim import OutcomeDistribution, new_basis_state, outcome_distribution, ru
 #: A measured outcome must carry at least this much probability to count as
 #: deterministic.
 DELTA_ATOL = 1e-9
-
-BRAIN_KINDS = ("quantum", "quantum_lowered", "classical")
 
 
 class NondeterministicOutcomeError(RuntimeError):
@@ -145,15 +144,13 @@ def classical_drive(sensors: SensorInput) -> MotorOutput:
     return MotorOutput(*_TRUTH_TABLE[(sensors.s1, sensors.s2)])
 
 
-def _drive_lowered(sensors: SensorInput) -> MotorOutput:
-    return drive(sensors, lowered=True)
-
-
 _BRAINS: dict[str, Callable[[SensorInput], MotorOutput]] = {
     "quantum": drive,
-    "quantum_lowered": _drive_lowered,
+    "quantum_lowered": partial(drive, lowered=True),
     "classical": classical_drive,
 }
+
+BRAIN_KINDS = tuple(_BRAINS)
 
 
 def brain_function(kind: str = "quantum") -> Callable[[SensorInput], MotorOutput]:
@@ -164,17 +161,18 @@ def brain_function(kind: str = "quantum") -> Callable[[SensorInput], MotorOutput
         raise ValueError(f"unknown brain kind {kind!r}; expected one of {BRAIN_KINDS}") from None
 
 
-def control_table(kind: str = "quantum") -> dict[SensorInput, MotorOutput]:
-    """Tabulate the chosen brain over all four sensor inputs.
+@lru_cache(maxsize=None)
+def control_table(kind: str = "quantum") -> Mapping[SensorInput, MotorOutput]:
+    """Tabulate the chosen brain over all four sensor inputs, once per process per kind.
 
     The quantum kinds run the circuit once per input, determinism check
-    included, so a broken synthesis pass fails here before any lookup.
+    included, so a broken synthesis pass fails on first use; callers share the table read-only.
     """
     law = brain_function(kind)
-    return {
+    return MappingProxyType({
         sensors: law(sensors)
         for sensors in (SensorInput(a, b) for a in (0, 1) for b in (0, 1))
-    }
+    })
 
 
 def behavior_label(motors: MotorOutput) -> str:

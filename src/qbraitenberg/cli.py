@@ -5,9 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .brain import (
+    BRAIN_KINDS,
     LAYOUT,
     NondeterministicOutcomeError,
     SensorInput,
@@ -18,13 +21,6 @@ from .brain import (
 )
 from .circuit import export_qasm, lower
 from .game import EpisodeStatus, GameConfig, run_episode, trace_json_line
-
-#: CLI spelling -> brain kind name.
-_BRAIN_CHOICES = {
-    "quantum": "quantum",
-    "quantum-lowered": "quantum_lowered",
-    "classical": "classical",
-}
 
 
 def _bit(text: str) -> int:
@@ -39,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-brain vehicle: circuit simulation, QASM export, and the obstacle-lane game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    brains = sorted(kind.replace("_", "-") for kind in BRAIN_KINDS)
 
     run = sub.add_parser("circuit-run", help="print the measured outcome distribution for a sensor input")
     run.add_argument("--input", required=True, choices=("00", "01", "10", "11"), help="sensor bits s1s2")
@@ -50,14 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     drv = sub.add_parser("drive", help="drive one sensor input and print the motor command")
     drv.add_argument("--s1", required=True, type=_bit, help="left sensor bit")
     drv.add_argument("--s2", required=True, type=_bit, help="right sensor bit")
-    drv.add_argument("--brain", choices=sorted(_BRAIN_CHOICES), default="quantum")
+    drv.add_argument("--brain", choices=brains, default="quantum")
 
     game = sub.add_parser("game-run", help="run seeded game episodes")
     game.add_argument("--seed", type=int, default=None,
                       help="base seed; episode i uses seed + i (default: the config seed)")
     game.add_argument("--episodes", type=int, default=1)
     game.add_argument("--config", help="JSON file of game settings; absent fields take defaults")
-    game.add_argument("--brain", choices=sorted(_BRAIN_CHOICES), default="quantum")
+    game.add_argument("--brain", choices=brains, default="quantum")
     game.add_argument("--trace-out", help="write per-tick JSONL traces for all episodes")
     return parser
 
@@ -85,7 +82,7 @@ def _cmd_circuit_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_drive(args: argparse.Namespace) -> int:
-    motors = brain_function(_BRAIN_CHOICES[args.brain])(SensorInput(args.s1, args.s2))
+    motors = brain_function(args.brain.replace("-", "_"))(SensorInput(args.s1, args.s2))
     print(f"{motors.m1} {motors.m2} {motors.m3} {behavior_label(motors)}")
     return 0
 
@@ -110,32 +107,30 @@ def _cmd_game_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"invalid config: {exc}")
 
     base_seed = args.seed if args.seed is not None else config.seed
-    kind = _BRAIN_CHOICES[args.brain]
-    results = []
-    for i in range(args.episodes):
-        result = run_episode(replace(config, seed=base_seed + i), kind)
-        results.append(result)
-        print(f"episode={i} seed={base_seed + i} status={result.status.value} ticks={result.ticks_elapsed}")
+    kind = args.brain.replace("-", "_")
+    statuses: Counter = Counter()
+    ticks = 0
+    try:
+        with open(args.trace_out, "w", encoding="utf-8", newline="") if args.trace_out else nullcontext() as fh:
+            for i in range(args.episodes):
+                result = run_episode(replace(config, seed=base_seed + i), kind)
+                print(f"episode={i} seed={base_seed + i} status={result.status.value} ticks={result.ticks_elapsed}")
+                if fh is not None:
+                    fh.writelines(trace_json_line(record) + "\n" for record in result.trace)
+                statuses[result.status] += 1
+                ticks += result.ticks_elapsed
+    except OSError as exc:
+        if not args.trace_out:
+            raise
+        print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
+        return 1
 
-    wins = sum(r.status is EpisodeStatus.WON for r in results)
-    collisions = sum(r.status is EpisodeStatus.COLLIDED for r in results)
-    timeouts = sum(r.status is EpisodeStatus.TIMED_OUT for r in results)
-    mean_ticks = sum(r.ticks_elapsed for r in results) / len(results)
     print(
-        f"episodes={len(results)} wins={wins} collisions={collisions} "
-        f"timeouts={timeouts} mean_ticks={mean_ticks:.3f}"
+        f"episodes={args.episodes} wins={statuses[EpisodeStatus.WON]} "
+        f"collisions={statuses[EpisodeStatus.COLLIDED]} "
+        f"timeouts={statuses[EpisodeStatus.TIMED_OUT]} mean_ticks={ticks / args.episodes:.3f}"
     )
-
-    if args.trace_out:
-        try:
-            with open(args.trace_out, "w", encoding="utf-8", newline="") as fh:
-                for result in results:
-                    for record in result.trace:
-                        fh.write(trace_json_line(record) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-            return 1
-    return 1 if collisions else 0
+    return 1 if statuses[EpisodeStatus.COLLIDED] else 0
 
 
 def main(argv: list[str] | None = None) -> int:

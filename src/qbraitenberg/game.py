@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from numbers import Real
 from typing import Callable, Mapping
 
-from .brain import MotorOutput, SensorInput, control_table, drive
+from .brain import MotorOutput, SensorInput, control_table
 
 #: Lane occupied by each obstacle track.
 TRACK_LANES = {1: 1, 2: 4}
@@ -72,6 +73,13 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "max_ticks" and value is None:
+                continue
+            kind, what = (Real, "a real number") if f.name == "spawn_prob" else (int, "an int")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.max_ticks is None:
             object.__setattr__(self, "max_ticks", 4 * self.road_length)
         if self.road_length < 1:
@@ -223,16 +231,12 @@ def spawn_obstacles(state: GameState) -> GameState:
     return state
 
 
-def step(state: GameState, brain: Callable[[SensorInput], MotorOutput] | None = None) -> GameState:
+def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameState:
     """Advance one tick in fixed order: sense, drive, act, move obstacles,
     resolve collisions, despawn/spawn, then check finish line and tick budget.
-
-    ``brain`` defaults to the quantum drive.
     """
     if state.status is not EpisodeStatus.RUNNING:
         raise RuntimeError(f"cannot step a {state.status.value} episode")
-    if brain is None:
-        brain = drive
     cfg = state.config
 
     before = state.robot
@@ -267,9 +271,9 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput] | None = 
 def run_episode(config: GameConfig, brain_kind: str = "quantum") -> EpisodeResult:
     """Run one seeded episode to completion under the chosen brain.
 
-    The control law is tabulated once up front (the sensor domain has only
-    four points), so per-tick cost is game logic; a determinism failure in a
-    quantum brain surfaces here before the first tick.
+    The control law is tabulated once per process per brain kind, so per-tick
+    cost is game logic; a determinism failure in a quantum brain surfaces
+    before the first tick of the first episode.
     """
     table = control_table(brain_kind)
     state = new_game(config)

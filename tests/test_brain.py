@@ -106,6 +106,11 @@ class TestControlTable:
         tables = {kind: control_table(kind) for kind in BRAIN_KINDS}
         assert tables["quantum"] == tables["quantum_lowered"] == tables["classical"]
 
+    @pytest.mark.parametrize("kind", BRAIN_KINDS)
+    def test_table_is_read_only(self, kind):
+        with pytest.raises(TypeError):
+            control_table(kind)[SensorInput(0, 0)] = MotorOutput(0, 0, 1)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown brain kind"):
             control_table("analog")

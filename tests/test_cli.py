@@ -5,7 +5,7 @@ import pytest
 
 from qbraitenberg import cli
 from qbraitenberg.cli import main
-from qbraitenberg.game import EpisodeResult, EpisodeStatus
+from qbraitenberg.game import EpisodeResult, EpisodeStatus, GameConfig, run_episode, trace_json_line
 
 GOLDEN = Path(__file__).parent / "golden" / "robot_lowered.qasm"
 
@@ -127,6 +127,23 @@ class TestGameRun:
             "obstacles", "status",
         ]
 
+    def test_trace_file_is_each_episode_in_seed_order(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        code, _, _ = run_cli(capsys, "game-run", "--seed", "5", "--episodes", "3", "--trace-out", str(path))
+        assert code == 0
+        expected = "".join(
+            trace_json_line(record) + "\n"
+            for seed in (5, 6, 7)
+            for record in run_episode(GameConfig(seed=seed)).trace
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_unwritable_trace_out_fails_before_any_episode(self, capsys):
+        code, out, err = run_cli(capsys, "game-run", "--trace-out", "/no/such/dir/t.jsonl")
+        assert code == 1
+        assert "cannot write /no/such/dir/t.jsonl" in err
+        assert out == ""
+
     def test_seed_flag_overrides_config_seed(self, capsys, tmp_path):
         config = tmp_path / "seeded.json"
         config.write_text(json.dumps({"seed": 9}))
@@ -145,6 +162,13 @@ class TestGameRun:
     def test_unknown_config_field_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"lanes": 8}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["game-run", "--config", str(config)])
+        assert excinfo.value.code != 0
+
+    def test_non_int_config_seed_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"seed": 1.5}))
         with pytest.raises(SystemExit) as excinfo:
             main(["game-run", "--config", str(config)])
         assert excinfo.value.code != 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbraitenberg.brain import MotorOutput, SensorInput
+from qbraitenberg.brain import MotorOutput, SensorInput, drive
 from qbraitenberg.game import (
     EpisodeStatus,
     GameConfig,
@@ -52,11 +52,25 @@ class TestConfig:
             {"spawn_prob": -0.1},
             {"min_gap": -1},
             {"max_ticks": 0},
+            {"road_length": 10.5},
+            {"road_length": True},
+            {"detection_window": 3.0},
+            {"spawn_horizon": "10"},
+            {"min_gap": False},
+            {"max_ticks": 42.0},
+            {"seed": 1.5},
+            {"seed": None},
+            {"spawn_prob": True},
+            {"spawn_prob": "0.15"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GameConfig(**kwargs)
+
+    def test_wrong_type_names_field_and_value(self):
+        with pytest.raises(ValueError, match=r"seed must be an int, got 1\.5"):
+            GameConfig(seed=1.5)
 
     def test_from_dict_defaults_and_overrides(self):
         cfg = GameConfig.from_dict({"road_length": 10, "spawn_prob": 0.5})
@@ -198,7 +212,7 @@ class TestSpawn:
 class TestStep:
     def test_empty_road_advances_quietly(self):
         state = make_state(robot=RobotPose(5, 2, 0))
-        step(state)
+        step(state, drive)
         assert state.robot.row == 6
         assert state.status is EpisodeStatus.RUNNING
         record = state.trace[-1]
@@ -209,7 +223,7 @@ class TestStep:
         # hand-simulated: sense at offset 2, veer right, obstacle reaches the
         # robot's row on lane 1 while the robot now covers lanes 2-3
         state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
-        step(state)
+        step(state, drive)
         assert state.trace[-1].sensors == SensorInput(1, 0)
         assert state.trace[-1].motors == MotorOutput(1, 0, 0)
         assert state.robot == RobotPose(1, 2, 0)
@@ -219,7 +233,7 @@ class TestStep:
     def test_double_threat_is_overflown(self):
         state = make_state(robot=RobotPose(0, 2, 0),
                            obstacles=[Obstacle(1, 2, -1), Obstacle(2, 2, -1)])
-        step(state)
+        step(state, drive)
         assert state.trace[-1].motors == MotorOutput(0, 0, 1)
         assert state.robot == RobotPose(1, 2, 1)
         assert all(o.row == 1 for o in state.obstacles)
@@ -239,19 +253,19 @@ class TestStep:
 
     def test_despawn_behind_robot(self):
         state = make_state(robot=RobotPose(10, 2, 0), obstacles=[Obstacle(1, 5, -1)])
-        step(state)
+        step(state, drive)
         assert state.obstacles == []
 
     def test_win_at_finish_line(self):
         state = make_state(GameConfig(road_length=5, spawn_prob=0.0), robot=RobotPose(4, 2, 0))
-        step(state)
+        step(state, drive)
         assert state.status is EpisodeStatus.WON
 
     def test_step_after_finish_rejected(self):
         state = make_state(GameConfig(road_length=1, spawn_prob=0.0))
-        step(state)
+        step(state, drive)
         with pytest.raises(RuntimeError, match="won"):
-            step(state)
+            step(state, drive)
 
 
 class TestRunEpisode:
