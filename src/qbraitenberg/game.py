@@ -17,7 +17,7 @@ bytes, whichever brain computes the motor commands.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from numbers import Real
 from typing import Callable, Mapping
@@ -243,17 +243,19 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     sensors = sense(state)
     motors = brain(sensors)
     act(state, motors)
-    state.obstacles = [replace(o, row=o.row + o.direction) for o in state.obstacles]
+    moved = [Obstacle(o.track, o.row + o.direction, o.direction) for o in state.obstacles]
 
+    # Swept: from an odd offset an oncoming obstacle passes the robot without sharing its row.
     robot = state.robot
     if robot.altitude == 0:
-        for o in state.obstacles:
-            if o.row == robot.row and TRACK_LANES[o.track] in robot.lanes:
+        for old, o in zip(state.obstacles, moved):
+            offset = o.row - robot.row
+            if (offset == 0 or old.row - before.row > 0 > offset) and TRACK_LANES[o.track] in robot.lanes:
                 state.status = EpisodeStatus.COLLIDED
                 state.collision_tick = state.tick
                 break
 
-    state.obstacles = [o for o in state.obstacles if o.row >= robot.row - 2]
+    state.obstacles = [o for o in moved if o.row >= robot.row - 2]
     spawn_obstacles(state)
 
     if state.status is EpisodeStatus.RUNNING and robot.row >= cfg.road_length:

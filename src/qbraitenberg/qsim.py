@@ -1,16 +1,16 @@
-"""Exact statevector simulation for small registers (dense, double precision).
+"""Exact statevector simulation for small registers (double precision).
 
 Bit-order convention, used by every module in this package: the ket string
 "q0 q1 ... q(n-1)" is read left to right with q0 as the most significant bit
 of the basis index, so ``new_basis_state(5, "00110")`` puts the amplitude at
 index 0b00110 = 6. All operations are pure: they return fresh values and
-never mutate their inputs.
+never mutate their inputs; ``run_circuit`` copies the amplitudes once, then
+applies each op in place by its structure (``_apply_op``), not as a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,15 +23,16 @@ ATOL = 1e-9
 #: circuit_unitary guard: 2^6 x 2^6 is the largest matrix worth materializing.
 MAX_UNITARY_QUBITS = 6
 
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
-_GATE_1Q = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    GateKind.S: np.diag([1, 1j]).astype(complex),
-    GateKind.SDG: np.diag([1, -1j]).astype(complex),
-    GateKind.T: np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
-    GateKind.TDG: np.diag([1, np.exp(-1j * np.pi / 4)]).astype(complex),
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+#: Diagonal gates, by the phase they put on |1>.
+_PHASES = {
+    GateKind.S: 1j,
+    GateKind.SDG: -1j,
+    GateKind.T: np.exp(1j * np.pi / 4),
+    GateKind.TDG: np.exp(-1j * np.pi / 4),
 }
+#: Kinds that flip every target where they fire.
+_FLIPS = frozenset({GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CCXX})
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,53 +127,50 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets: tuple[int, ...] | 
     k = gate.k
     psi = np.moveaxis(state.amps.reshape((2,) * n), targets, range(k))
     out = (gate.entries @ psi.reshape(2**k, -1)).reshape((2,) * n)
-    out = np.moveaxis(out, range(k), targets).reshape(-1)
-    assert abs(np.linalg.norm(out) - np.linalg.norm(state.amps)) <= ATOL, "statevector norm drifted"
-    return StateVector(n, out)
+    return _checked(state, np.moveaxis(out, range(k), targets))
 
 
-def _base_matrix(kind: GateKind) -> np.ndarray:
-    if kind in _GATE_1Q:
-        return _GATE_1Q[kind]
-    if kind in (GateKind.CX, GateKind.CCX):
-        return _GATE_1Q[GateKind.X]
-    if kind is GateKind.CCXX:
-        return np.kron(_GATE_1Q[GateKind.X], _GATE_1Q[GateKind.X])
-    raise UnsupportedGateError(f"unknown gate kind {kind!r}")
+def _checked(state: StateVector, out: np.ndarray) -> StateVector:
+    """Wrap amplitudes computed from ``state``; raise if the norm drifted."""
+    drift = abs(np.linalg.norm(out) - state.norm())
+    if drift > ATOL:
+        raise RuntimeError(f"statevector norm drifted by {drift:.3e} (tolerance {ATOL:g})")
+    return StateVector(state.n_qubits, out)
 
 
-@lru_cache(maxsize=None)
-def _op_gate(op: CircuitOp) -> tuple[GateMatrix, tuple[int, ...]]:
-    """Expand an IR op into a dense unitary over its control+target wires.
+def _apply_op(psi: np.ndarray, op: CircuitOp) -> None:
+    """Apply one IR op in place to amplitudes shaped (2,)*n.
 
-    Controls occupy the most significant positions of the expanded matrix, in
-    op order; the op fires only on the block where every control qubit reads
-    its ControlSpec value, so anticontrols need no special casing downstream.
+    Control axes are sliced (not indexed) at their ControlSpec value, so only
+    the firing slice is touched, anticontrols need no X conjugation and axis
+    numbers stay qubit numbers. X-type targets flip, a phase gate scales the
+    |1> half of its axis and H is a 2x2 contraction on its axis.
     """
-    base = _base_matrix(op.kind)
-    if not op.controls:
-        return GateMatrix(len(op.targets), base), op.targets
-    dim_t = base.shape[0]
-    dim = (2 ** len(op.controls)) * dim_t
-    mat = np.eye(dim, dtype=complex)
-    block = 0
+    index = [slice(None)] * psi.ndim
     for c in op.controls:
-        block = (block << 1) | c.value
-    lo = block * dim_t
-    mat[lo : lo + dim_t, lo : lo + dim_t] = base
-    return GateMatrix(len(op.controls) + len(op.targets), mat), op.qubits
+        index[c.qubit] = slice(c.value, c.value + 1)
+    part = psi[tuple(index)]
+    t = op.targets[0]
+    if op.kind in _FLIPS:
+        part[...] = np.flip(part, op.targets)
+    elif op.kind in _PHASES:
+        np.moveaxis(part, t, 0)[1] *= _PHASES[op.kind]
+    elif op.kind is GateKind.H:
+        part[...] = np.moveaxis(np.tensordot(_H, part, axes=(1, t)), 0, t)
+    else:
+        raise UnsupportedGateError(f"unknown gate kind {op.kind!r}")
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Left-to-right fold of apply_gate over the circuit's ops."""
+    """Left-to-right fold of the ops over one copy of the amplitudes; one norm check."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits but state has {state.n_qubits}"
         )
+    psi = state.amps.reshape((2,) * state.n_qubits).copy()
     for op in circuit.ops:
-        gate, wires = _op_gate(op)
-        state = apply_gate(state, gate, wires)
-    return state
+        _apply_op(psi, op)
+    return _checked(state, psi)
 
 
 def outcome_distribution(state: StateVector, measured: tuple[int, ...] | list[int]) -> OutcomeDistribution:

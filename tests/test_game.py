@@ -246,6 +246,16 @@ class TestStep:
         assert state.status is EpisodeStatus.COLLIDED
         assert state.collision_tick == 0
 
+    @pytest.mark.parametrize("offset", [1, 3, 5])
+    def test_oncoming_obstacle_at_odd_offset_cannot_tunnel(self, offset):
+        # closing two rows per tick, the obstacle skips offset 0 and goes
+        # from +1 to -1 on the tick (offset - 1) / 2
+        state = make_state(robot=RobotPose(0, 3, 0), obstacles=[Obstacle(2, offset, -1)])
+        while state.status is EpisodeStatus.RUNNING and state.tick <= offset:
+            step(state, lambda sensors: MotorOutput(1, 1, 0))
+        assert state.status is EpisodeStatus.COLLIDED
+        assert state.collision_tick == (offset - 1) // 2
+
     def test_flying_robot_is_safe_at_same_row(self):
         state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
         step(state, brain=lambda sensors: MotorOutput(0, 0, 1))

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import marginal_by_enumeration, random_circuit, random_state
+from conftest import marginal_by_enumeration, permutation_matrix, random_circuit, random_state
 from qbraitenberg.brain import build_robot_circuit
-from qbraitenberg.circuit import Circuit, GateKind, ccx, ccxx, cx, h, x
+from qbraitenberg.circuit import Circuit, CircuitOp, GateKind, ccx, ccxx, cx, h, x
 from qbraitenberg.qsim import (
     GateMatrix,
     StateVector,
@@ -19,6 +25,33 @@ from qbraitenberg.qsim import (
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+TEXTBOOK_1Q = {
+    GateKind.X: X_MATRIX,
+    GateKind.H: H_MATRIX,
+    GateKind.S: np.diag([1, 1j]),
+    GateKind.SDG: np.diag([1, -1j]),
+    GateKind.T: np.diag([1, np.exp(1j * np.pi / 4)]),
+    GateKind.TDG: np.diag([1, np.exp(-1j * np.pi / 4)]),
+}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def flip_permutation(circuit: Circuit) -> np.ndarray:
+    """Unitary of an X-type circuit from bit logic: each op flips its target
+    bits iff every control bit reads its ControlSpec value."""
+    n = circuit.n_qubits
+
+    def bit(q: int) -> int:
+        return 1 << (n - 1 - q)
+
+    def index_map(i: int) -> int:
+        for op in circuit.ops:
+            if all(bool(i & bit(c.qubit)) == bool(c.value) for c in op.controls):
+                for q in op.targets:
+                    i ^= bit(q)
+        return i
+
+    return permutation_matrix(n, index_map)
 
 
 class TestNewBasisState:
@@ -165,6 +198,24 @@ class TestCircuitUnitary:
         with pytest.raises(ValueError, match="at most"):
             circuit_unitary(Circuit(7))
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_x_type_circuits_match_bit_logic(self, seed):
+        rng = np.random.default_rng(seed)
+        kinds = (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.CCXX)
+        circuit = random_circuit(rng, max_qubits=5, max_ops=10, kinds=kinds)
+        got = circuit_unitary(circuit).entries
+        assert np.abs(got - flip_permutation(circuit)).max() <= 1e-12
+
+    @pytest.mark.parametrize("wire", [0, 1, 2])
+    @pytest.mark.parametrize("kind", list(TEXTBOOK_1Q))
+    def test_one_qubit_gate_matches_kron_of_textbook_matrix(self, kind, wire):
+        factors = [np.eye(2)] * 3
+        factors[wire] = TEXTBOOK_1Q[kind]
+        expected = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        got = circuit_unitary(Circuit(3, (CircuitOp(kind, (), (wire,)),))).entries
+        assert np.abs(got - expected).max() <= 1e-12
+
 
 class TestEqualUpToGlobalPhase:
     def test_phase_rotated_matrix_matches(self):
@@ -179,6 +230,24 @@ class TestEqualUpToGlobalPhase:
 
 
 class TestInvariants:
+    def test_norm_check_survives_optimize_flag(self):
+        # a non-unitary H must be caught under python -O, which strips asserts
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from qbraitenberg import qsim
+            from qbraitenberg.circuit import Circuit, h
+            if not sys.flags.optimize:
+                sys.exit("expected to run under python -O")
+            qsim._H = np.array([[1, 1], [1, 1]], dtype=complex)
+            qsim.run_circuit(Circuit(1, (h(0),)), qsim.new_basis_state(1, "0"))
+        """)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode != 0
+        assert "RuntimeError: statevector norm drifted by 4.142e-01" in proc.stderr
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_norm_preserved_by_random_circuits(self, seed):
