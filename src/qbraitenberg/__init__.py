@@ -34,6 +34,7 @@ from .circuit import (
     ccxx,
     ccxx_decompose,
     cx,
+    depth,
     export_qasm,
     h,
     lower,

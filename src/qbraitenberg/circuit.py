@@ -7,15 +7,18 @@ removed only by the lowering pipeline.
 
 ``lower`` runs three passes in a fixed order: CCXX ops split into two CCX
 ops sharing the controls; negative controls are conjugated away with X
-gates (followed by a peephole that cancels X pairs left facing each other
-on the same wire); finally each CCX expands into the canonical 15-gate
-H/T/Tdg/CX network. The resulting basis is {X, H, S, SDG, T, TDG, CX},
+gates, and X pairs left facing each other on a wire cancel (found with a
+stack of surviving ops per wire, not by scanning back); finally each CCX
+expands into the canonical 15-gate H/T/Tdg/CX network, built from its 9
+distinct ops. Ops store their wires once, so every pass costs a fixed
+amount of work per op. The resulting basis is {X, H, S, SDG, T, TDG, CX},
 which is exactly what ``export_qasm`` accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -50,13 +53,21 @@ ARITY: dict[GateKind, tuple[int, int]] = {
     GateKind.CCXX: (2, 2),
 }
 
-#: Kinds allowed in a fully lowered circuit (and in QASM output).
-LOWERED_KINDS = frozenset(
-    {GateKind.X, GateKind.H, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.CX}
-)
+#: QASM mnemonic of each kind allowed in a fully lowered circuit (and in QASM output).
+_QASM_NAMES = {
+    kind: kind.value
+    for kind in (GateKind.X, GateKind.H, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.CX)
+}
+LOWERED_KINDS = frozenset(_QASM_NAMES)
 
 
-@dataclass(frozen=True)
+def _check_int(name: str, value, low: int) -> None:
+    """Reject a wire index or width that is not an int >= low (a bool is not an int here)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class ControlSpec:
     """A control wire; the gate fires when the qubit reads |value>.
 
@@ -67,39 +78,39 @@ class ControlSpec:
     value: int = 1
 
     def __post_init__(self) -> None:
-        if self.qubit < 0:
-            raise ValueError(f"control qubit must be >= 0, got {self.qubit}")
+        _check_int("control qubit", self.qubit, 0)
         if self.value not in (0, 1):
             raise ValueError(f"control value must be 0 or 1, got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircuitOp:
-    """One gate application: a kind, its controls, and its ordered targets."""
+    """One gate application: a kind, its controls, and its ordered targets.
+
+    ``qubits``, all wires touched with controls first, is set at construction.
+    """
 
     kind: GateKind
     controls: tuple[ControlSpec, ...] = ()
     targets: tuple[int, ...] = ()
+    qubits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "targets", tuple(self.targets))
+        controls, targets = tuple(self.controls), tuple(self.targets)
         n_ctrl, n_tgt = ARITY[self.kind]
-        if len(self.controls) != n_ctrl or len(self.targets) != n_tgt:
+        if len(controls) != n_ctrl or len(targets) != n_tgt:
             raise ValueError(
                 f"{self.kind.value} takes {n_ctrl} controls and {n_tgt} targets, "
-                f"got {len(self.controls)} and {len(self.targets)}"
+                f"got {len(controls)} and {len(targets)}"
             )
-        if any(q < 0 for q in self.targets):
-            raise ValueError(f"target qubits must be >= 0, got {self.targets}")
-        wires = [c.qubit for c in self.controls] + list(self.targets)
-        if len(set(wires)) != len(wires):
-            raise ValueError(f"controls and targets must be distinct qubits, got {wires}")
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        """All wires the op touches, controls first."""
-        return tuple(c.qubit for c in self.controls) + self.targets
+        for q in targets:
+            _check_int("target qubit", q, 0)
+        qubits = tuple([c.qubit for c in controls]) + targets
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"controls and targets must be distinct qubits, got {list(qubits)}")
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass(frozen=True)
@@ -112,12 +123,12 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        n = self.n_qubits
+        _check_int("n_qubits", n, 1)
         for op in self.ops:
-            bad = [q for q in op.qubits if q >= self.n_qubits]
-            if bad:
-                raise ValueError(f"op {op.kind.value} references qubits {bad} >= n_qubits={self.n_qubits}")
+            if max(op.qubits) >= n:
+                bad = [q for q in op.qubits if q >= n]
+                raise ValueError(f"op {op.kind.value} references qubits {bad} >= n_qubits={n}")
 
 
 def x(qubit: int) -> CircuitOp:
@@ -179,7 +190,7 @@ def polarity_lower(op: CircuitOp) -> list[CircuitOp]:
     if not negatives:
         return [op]
     flips = [x(q) for q in negatives]
-    positive = replace(op, controls=tuple(ControlSpec(c.qubit) for c in op.controls))
+    positive = CircuitOp(op.kind, tuple(ControlSpec(c.qubit) for c in op.controls), op.targets)
     return [*flips, positive, *flips]
 
 
@@ -196,39 +207,32 @@ def ccx_decompose(op: CircuitOp) -> list[CircuitOp]:
         raise ValueError("ccx_decompose requires positive controls; run polarity_lower first")
     a, b = (c.qubit for c in op.controls)
     tgt = op.targets[0]
+    h_t, t_t, tdg_t = h(tgt), t(tgt), tdg(tgt)
+    cx_at, cx_bt, cx_ab = cx(a, tgt), cx(b, tgt), cx(a, b)
     return [
-        h(tgt),
-        cx(b, tgt),
-        tdg(tgt),
-        cx(a, tgt),
-        t(tgt),
-        cx(b, tgt),
-        tdg(tgt),
-        cx(a, tgt),
-        t(b),
-        t(tgt),
-        h(tgt),
-        cx(a, b),
-        t(a),
-        tdg(b),
-        cx(a, b),
+        h_t, cx_bt, tdg_t, cx_at, t_t, cx_bt, tdg_t, cx_at,
+        t(b), t_t, h_t, cx_ab, t(a), tdg(b), cx_ab,
     ]
 
 
 def _cancel_facing_x(ops: list[CircuitOp]) -> list[CircuitOp]:
-    """Drop X pairs on the same wire separated only by ops on other wires."""
-    out: list[CircuitOp] = []
+    """Drop X pairs on the same wire separated only by ops on other wires.
+
+    Each wire keeps a stack of output indices of the surviving ops on it; an X
+    cancels when its wire's top is an X, which pops (an X has no other wire).
+    """
+    out: list[CircuitOp | None] = []
+    stacks: defaultdict[int, list[int]] = defaultdict(list)
     for op in ops:
         if op.kind is GateKind.X:
-            q = op.targets[0]
-            j = len(out) - 1
-            while j >= 0 and q not in out[j].qubits:
-                j -= 1
-            if j >= 0 and out[j].kind is GateKind.X:
-                del out[j]
+            stack = stacks[op.targets[0]]
+            if stack and out[stack[-1]].kind is GateKind.X:
+                out[stack.pop()] = None
                 continue
+        for q in op.qubits:
+            stacks[q].append(len(out))
         out.append(op)
-    return out
+    return [op for op in out if op is not None]
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -238,21 +242,27 @@ def lower(circuit: Circuit) -> Circuit:
     X-pair cleanup, then CCX -> Clifford+T. The output unitary equals the
     input unitary (no pass here introduces a global phase). Idempotent.
     """
-    split: list[CircuitOp] = []
+    positive: list[CircuitOp] = []
     for op in circuit.ops:
         if op.kind not in ARITY:
             raise UnsupportedGateError(f"unknown gate kind {op.kind!r}")
-        split.extend(ccxx_decompose(op) if op.kind is GateKind.CCXX else [op])
-
-    positive: list[CircuitOp] = []
-    for op in split:
-        positive.extend(polarity_lower(op))
-    positive = _cancel_facing_x(positive)
+        for part in ccxx_decompose(op) if op.kind is GateKind.CCXX else (op,):
+            positive.extend(polarity_lower(part))
 
     lowered: list[CircuitOp] = []
-    for op in positive:
-        lowered.extend(ccx_decompose(op) if op.kind is GateKind.CCX else [op])
+    for op in _cancel_facing_x(positive):
+        lowered.extend(ccx_decompose(op) if op.kind is GateKind.CCX else (op,))
     return Circuit(circuit.n_qubits, tuple(lowered), circuit.name)
+
+
+def depth(circuit: Circuit) -> int:
+    """Layer count: each op sits one level above the highest earlier op on its wires."""
+    level = [0] * circuit.n_qubits
+    for op in circuit.ops:
+        top = 1 + max([level[q] for q in op.qubits])
+        for q in op.qubits:
+            level[q] = top
+    return max(level)
 
 
 def export_qasm(circuit: Circuit, measured: tuple[int, ...] | list[int]) -> str:
@@ -264,22 +274,23 @@ def export_qasm(circuit: Circuit, measured: tuple[int, ...] | list[int]) -> str:
     byte for byte. Raises UnsupportedGateError on non-lowered gates.
     """
     measured = tuple(measured)
-    for op in circuit.ops:
-        if op.kind not in LOWERED_KINDS:
-            raise UnsupportedGateError(f"cannot export {op.kind.value}; lower the circuit first")
-        if any(c.value != 1 for c in op.controls):
-            raise UnsupportedGateError("cannot export anticontrolled ops; lower the circuit first")
-    if len(set(measured)) != len(measured):
-        raise ValueError(f"measured qubits must be distinct, got {measured}")
-    if any(q < 0 or q >= circuit.n_qubits for q in measured):
-        raise ValueError(f"measured qubits {measured} out of range for n_qubits={circuit.n_qubits}")
-
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.n_qubits}];"]
     if measured:
         lines.append(f"creg c[{len(measured)}];")
     for op in circuit.ops:
-        wires = ",".join(f"q[{q}]" for q in op.qubits)
-        lines.append(f"{op.kind.value} {wires};")
+        name = _QASM_NAMES.get(op.kind)
+        if name is None:
+            raise UnsupportedGateError(f"cannot export {op.kind.value}; lower the circuit first")
+        for c in op.controls:
+            if c.value != 1:
+                raise UnsupportedGateError("cannot export anticontrolled ops; lower the circuit first")
+        lines.append(f"{name} q[{'],q['.join(map(str, op.qubits))}];")
+    for q in measured:
+        _check_int("measured qubit", q, 0)
+    if len(set(measured)) != len(measured):
+        raise ValueError(f"measured qubits must be distinct, got {measured}")
+    if any(q >= circuit.n_qubits for q in measured):
+        raise ValueError(f"measured qubits {measured} out of range for n_qubits={circuit.n_qubits}")
     for i, q in enumerate(measured):
         lines.append(f"measure q[{q}] -> c[{i}];")
     return "\n".join(lines) + "\n"

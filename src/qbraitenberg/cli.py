@@ -19,7 +19,7 @@ from .brain import (
     build_robot_circuit,
     measure_distribution,
 )
-from .circuit import export_qasm, lower
+from .circuit import GateKind, depth, export_qasm, lower
 from .game import EpisodeStatus, GameConfig, run_episode, trace_json_line
 
 
@@ -40,6 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("circuit-run", help="print the measured outcome distribution for a sensor input")
     run.add_argument("--input", required=True, choices=("00", "01", "10", "11"), help="sensor bits s1s2")
     run.add_argument("--lowered", action="store_true", help="run the Clifford+T form of the circuit")
+
+    stats = sub.add_parser("circuit-stats", help="print gate counts, T-count, CX count and depth of the control circuit")
+    stats.add_argument("--lowered", action="store_true", help="count the Clifford+T form of the circuit")
 
     export = sub.add_parser("circuit-export", help="write the lowered control circuit as OpenQASM 2.0")
     export.add_argument("--out", help="output path (stdout when omitted)")
@@ -64,6 +67,15 @@ def _cmd_circuit_run(args: argparse.Namespace) -> int:
     dist = measure_distribution(sensors, lowered=args.lowered)
     for outcome in sorted(dist.probs):
         print(f"{outcome} {dist.probs[outcome]:.6f}")
+    return 0
+
+
+def _cmd_circuit_stats(args: argparse.Namespace) -> int:
+    circuit = lower(build_robot_circuit()) if args.lowered else build_robot_circuit()
+    kinds = Counter(op.kind for op in circuit.ops)
+    t_count = kinds[GateKind.T] + kinds[GateKind.TDG]
+    print(f"ops={len(circuit.ops)} t_count={t_count} cx_count={kinds[GateKind.CX]} depth={depth(circuit)}")
+    print(" ".join(f"{kind.value}={kinds[kind]}" for kind in GateKind))
     return 0
 
 
@@ -139,6 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "circuit-run":
             return _cmd_circuit_run(args)
+        if args.command == "circuit-stats":
+            return _cmd_circuit_stats(args)
         if args.command == "circuit-export":
             return _cmd_circuit_export(args)
         if args.command == "drive":

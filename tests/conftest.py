@@ -46,19 +46,42 @@ def marginal_by_enumeration(amps: np.ndarray, n_qubits: int, measured) -> dict[s
     return out
 
 
-def random_circuit(rng: np.random.Generator, max_qubits: int = 4, max_ops: int = 8,
-                   kinds=tuple(GateKind)) -> Circuit:
-    """Random circuit over the given kinds, with random control polarities."""
-    n = int(rng.integers(1, max_qubits + 1))
+def depth_by_peeling(circuit: Circuit) -> int:
+    """Circuit depth by peeling front layers until no op is left.
+
+    Each round takes every op whose wires no earlier waiting op and no op
+    taken this round uses.
+    """
+    waiting, layers = list(circuit.ops), 0
+    while waiting:
+        blocked: set[int] = set()
+        rest = []
+        for op in waiting:
+            if not blocked.isdisjoint(op.qubits):
+                rest.append(op)
+            blocked.update(op.qubits)
+        waiting, layers = rest, layers + 1
+    return layers
+
+
+def random_ops(rng: np.random.Generator, n: int, count: int, kinds=tuple(GateKind)) -> tuple[CircuitOp, ...]:
+    """``count`` random ops on ``n`` qubits over the kinds that fit, with random control polarities."""
     usable = [k for k in kinds if sum(ARITY[k]) <= n]
     ops = []
-    for _ in range(int(rng.integers(0, max_ops + 1))):
+    for _ in range(count):
         kind = usable[int(rng.integers(len(usable)))]
         n_ctrl, n_tgt = ARITY[kind]
         wires = [int(q) for q in rng.choice(n, size=n_ctrl + n_tgt, replace=False)]
         controls = tuple(ControlSpec(q, int(rng.integers(2))) for q in wires[:n_ctrl])
         ops.append(CircuitOp(kind, controls, tuple(wires[n_ctrl:])))
-    return Circuit(n, tuple(ops))
+    return tuple(ops)
+
+
+def random_circuit(rng: np.random.Generator, max_qubits: int = 4, max_ops: int = 8,
+                   kinds=tuple(GateKind)) -> Circuit:
+    """Random circuit over the given kinds, with random control polarities."""
+    n = int(rng.integers(1, max_qubits + 1))
+    return Circuit(n, random_ops(rng, n, int(rng.integers(0, max_ops + 1)), kinds))
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ccxx_16, cnot_4, random_circuit, toffoli_8
+from conftest import ccxx_16, cnot_4, depth_by_peeling, random_circuit, random_ops, toffoli_8
 from qbraitenberg.brain import build_robot_circuit
 from qbraitenberg.circuit import (
     LOWERED_KINDS,
@@ -12,11 +16,13 @@ from qbraitenberg.circuit import (
     ControlSpec,
     GateKind,
     UnsupportedGateError,
+    _cancel_facing_x,
     ccx,
     ccx_decompose,
     ccxx,
     ccxx_decompose,
     cx,
+    depth,
     export_qasm,
     h,
     lower,
@@ -50,6 +56,49 @@ class TestIrValidation:
 
     def test_qubits_property_lists_controls_first(self):
         assert ccxx(0, 1, 2, 3).qubits == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "build,field,value",
+        [
+            (lambda: x(1.0), "target qubit", "1.0"),
+            (lambda: cx(True, 2), "control qubit", "True"),
+            (lambda: CircuitOp(GateKind.H, (), (np.int64(0),)), "target qubit", "np.int64(0)"),
+            (lambda: Circuit(2.5, ()), "n_qubits", "2.5"),
+            (lambda: Circuit(True, ()), "n_qubits", "True"),
+            (lambda: export_qasm(Circuit(2, ()), (1.0,)), "measured qubit", "1.0"),
+            (lambda: export_qasm(Circuit(2, ()), (False,)), "measured qubit", "False"),
+        ],
+    )
+    def test_non_int_wires_rejected_naming_field_and_value(self, build, field, value):
+        # without the check these export as "x q[1.0];", "cx q[True],q[2];" and "measure q[1.0] -> c[0];"
+        with pytest.raises(ValueError, match=f"^{field} must be an int >= [01], got {re.escape(value)}$"):
+            build()
+
+
+class TestStoredQubits:
+    """``qubits`` is stored at construction but is not part of the op's value."""
+
+    def test_repr_unchanged(self):
+        assert repr(ccxx(0, 1, 2, 3)) == (
+            "CircuitOp(kind=<GateKind.CCXX: 'ccxx'>, controls=(ControlSpec(qubit=0, value=1), "
+            "ControlSpec(qubit=1, value=1)), targets=(2, 3))"
+        )
+
+    def test_equality_and_hash_ignore_qubits(self):
+        a, b = cx(0, 1), cx(0, 1)
+        object.__setattr__(b, "qubits", (7,))
+        assert a == b and hash(a) == hash(b)
+
+    def test_replace_recomputes_qubits(self):
+        op = dataclasses.replace(ccx(0, 1, 2), targets=[3])
+        assert op.targets == (3,) and op.qubits == (0, 1, 3)
+        with pytest.raises(ValueError, match="distinct"):
+            dataclasses.replace(ccx(0, 1, 2), targets=(1,))
+
+    @pytest.mark.parametrize("name", ["kind", "controls", "targets", "qubits"])
+    def test_fields_are_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cx(0, 1), name, ())
 
 
 class TestCcxxDecompose:
@@ -151,6 +200,83 @@ class TestCcxDecompose:
         assert np.abs(net.entries - expected).max() <= 1e-12
 
 
+def _cancel_facing_x_by_scan(ops: list[CircuitOp]) -> list[CircuitOp]:
+    """Reference: the backward-scan cancellation, quadratic in the worst case."""
+    out: list[CircuitOp] = []
+    for op in ops:
+        if op.kind is GateKind.X:
+            q = op.targets[0]
+            j = len(out) - 1
+            while j >= 0 and q not in out[j].qubits:
+                j -= 1
+            if j >= 0 and out[j].kind is GateKind.X:
+                del out[j]
+                continue
+        out.append(op)
+    return out
+
+
+@st.composite
+def x_heavy_ops(draw):
+    """Mostly X ops (some in runs on one wire) among H, CX and CCX ops, on 1-128 wires.
+
+    Wires are drawn from a prefix of random width, so narrow draws meet often.
+    """
+    n = draw(st.integers(1, 128))
+    wire = st.integers(0, draw(st.integers(1, n)) - 1)
+    ops: list[CircuitOp] = []
+    for roll, q, a, b in draw(st.lists(st.tuples(st.integers(0, 9), wire, wire, wire), max_size=80)):
+        if roll == 5:
+            ops.extend([x(q)] * (2 + a % 3))
+        elif roll == 6 and q != a:
+            ops.append(cx(q, a))  # the control on q blocks an X pair on q
+        elif roll == 7 and q != a:
+            ops.append(cx(a, q))
+        elif roll == 8 and len({q, a, b}) == 3:
+            ops.append(ccx(a, b, q))
+        elif roll == 9:
+            ops.append(h(q))
+        else:
+            ops.append(x(q))
+    return ops
+
+
+class TestCancelFacingX:
+    @pytest.mark.parametrize(
+        "ops,expected",
+        [
+            ([x(0), x(0), x(0)], [x(0)]),
+            ([x(0), x(0), x(0), x(0)], []),
+            ([x(0), cx(0, 1), x(0)], [x(0), cx(0, 1), x(0)]),
+            ([x(1), cx(0, 1), x(1)], [x(1), cx(0, 1), x(1)]),
+            ([x(0), x(1), cx(1, 2), x(0), x(1)], [x(1), cx(1, 2), x(1)]),
+            ([x(0), x(1), x(1), x(0)], []),
+        ],
+    )
+    def test_examples(self, ops, expected):
+        assert _cancel_facing_x(ops) == expected == _cancel_facing_x_by_scan(ops)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=x_heavy_ops())
+    def test_matches_backward_scan(self, ops):
+        assert _cancel_facing_x(list(ops)) == _cancel_facing_x_by_scan(list(ops))
+
+
+class TestDepth:
+    def test_examples(self):
+        assert depth(Circuit(3)) == 0
+        assert depth(Circuit(3, (x(0), x(1), x(2)))) == 1
+        assert depth(Circuit(3, (x(0), cx(0, 1), x(2), ccx(0, 1, 2)))) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_layer_peeling(self, seed):
+        circuit = random_circuit(np.random.default_rng(seed), max_qubits=6, max_ops=30)
+        assert depth(circuit) == depth_by_peeling(circuit)
+        lowered = lower(circuit)
+        assert depth(lowered) == depth_by_peeling(lowered)
+
+
 class TestLower:
     def test_robot_circuit_lowers_to_basis_gates(self):
         lowered = lower(build_robot_circuit())
@@ -198,6 +324,28 @@ class TestLower:
     def test_lowering_is_idempotent_on_random_circuits(self, seed):
         lowered = lower(random_circuit(np.random.default_rng(seed)))
         assert lower(lowered) == lowered
+
+    @pytest.mark.parametrize(
+        "n,measured,digest,ops,t_count,cx_count",
+        [
+            (32, (13, 18, 14, 25, 9, 12, 20, 29),
+             "fe99614fb9b89a1494ae193be0fb365ecc371547b2be3dffb978771487010b9b", 2846, 1166, 971),
+            (128, (7, 28, 63, 100, 15, 74, 96, 24),
+             "e515067e3f53de3c1b899e9360e01db3edc8ac3793a84249ea07edce5e80f55d", 2676, 1097, 912),
+        ],
+    )
+    def test_wide_circuit_output_pinned(self, n, measured, digest, ops, t_count, cx_count):
+        # 450 random ops of all nine kinds; the expected values were taken
+        # from the backward-scan implementation of the X-pair peephole
+        rng = np.random.default_rng(n)
+        source = Circuit(n, random_ops(rng, n, 450))
+        assert tuple(int(q) for q in rng.choice(n, size=8, replace=False)) == measured
+        lowered = lower(source)
+        kinds = [op.kind for op in lowered.ops]
+        assert hashlib.sha256(export_qasm(lowered, measured).encode()).hexdigest() == digest
+        assert len(kinds) == ops
+        assert kinds.count(GateKind.T) + kinds.count(GateKind.TDG) == t_count
+        assert kinds.count(GateKind.CX) == cx_count
 
 
 class TestExportQasm:

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import depth_by_peeling
 from qbraitenberg import cli
+from qbraitenberg.brain import build_robot_circuit
+from qbraitenberg.circuit import lower
 from qbraitenberg.cli import main
 from qbraitenberg.game import EpisodeResult, EpisodeStatus, GameConfig, run_episode, trace_json_line
 
@@ -69,6 +72,30 @@ class TestCircuitExport:
         code, _, err = run_cli(capsys, "circuit-export", "--out", "/no/such/dir/robot.qasm")
         assert code == 1
         assert "cannot write" in err
+
+
+class TestCircuitStats:
+    def test_lowered_robot(self, capsys):
+        code, out, _ = run_cli(capsys, "circuit-stats", "--lowered")
+        assert code == 0
+        assert out.splitlines() == [
+            "ops=85 t_count=35 cx_count=32 depth=54",
+            "x=8 h=10 s=0 sdg=0 t=20 tdg=15 cx=32 ccx=0 ccxx=0",
+        ]
+
+    def test_raw_robot(self, capsys):
+        code, out, _ = run_cli(capsys, "circuit-stats")
+        assert code == 0
+        assert out.splitlines() == [
+            "ops=5 t_count=0 cx_count=2 depth=4",
+            "x=0 h=0 s=0 sdg=0 t=0 tdg=0 cx=2 ccx=1 ccxx=2",
+        ]
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_depth_matches_layer_peeling(self, capsys, lowered):
+        _, out, _ = run_cli(capsys, "circuit-stats", *(["--lowered"] if lowered else []))
+        robot = lower(build_robot_circuit()) if lowered else build_robot_circuit()
+        assert f"depth={depth_by_peeling(robot)}" in out.split()
 
 
 class TestDrive:
