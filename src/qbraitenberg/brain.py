@@ -32,7 +32,19 @@ class NondeterministicOutcomeError(RuntimeError):
     """The measured distribution was not a delta; the control circuit is broken."""
 
 
-@dataclass(frozen=True)
+def reject_non_int(value: object, *names: str) -> None:
+    """Raise ValueError naming the first field of ``value`` that is not exactly an int.
+
+    A bool is not an int here. Callers test ``int is type(a) is type(b) ...``
+    first and call this only when that fails, so the check stays cheap per tick.
+    """
+    for name in names:
+        field_value = getattr(value, name)
+        if type(field_value) is not int:
+            raise ValueError(f"{name} must be an int, got {field_value!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class SensorInput:
     """The two light-sensor bits (s1 = left side, s2 = right side)."""
 
@@ -40,11 +52,18 @@ class SensorInput:
     s2: int
 
     def __post_init__(self) -> None:
+        if not (int is type(self.s1) is type(self.s2)):
+            reject_non_int(self, "s1", "s2")
         if self.s1 not in (0, 1) or self.s2 not in (0, 1):
             raise ValueError(f"sensor values must be bits, got ({self.s1}, {self.s2})")
 
 
-@dataclass(frozen=True)
+#: The four sensor inputs in (s1, s2) binary order; ``control_table`` is keyed
+#: by these very objects and ``game.sense`` returns one of them.
+SENSOR_INPUTS = tuple(SensorInput(a, b) for a in (0, 1) for b in (0, 1))
+
+
+@dataclass(frozen=True, slots=True)
 class MotorOutput:
     """The three motor bits: left wheel, right wheel, propeller."""
 
@@ -53,6 +72,8 @@ class MotorOutput:
     m3: int
 
     def __post_init__(self) -> None:
+        if not (int is type(self.m1) is type(self.m2) is type(self.m3)):
+            reject_non_int(self, "m1", "m2", "m3")
         if any(m not in (0, 1) for m in (self.m1, self.m2, self.m3)):
             raise ValueError(f"motor values must be bits, got ({self.m1}, {self.m2}, {self.m3})")
         if self.m3 == 1 and (self.m1 or self.m2):
@@ -169,10 +190,7 @@ def control_table(kind: str = "quantum") -> Mapping[SensorInput, MotorOutput]:
     included, so a broken synthesis pass fails on first use; callers share the table read-only.
     """
     law = brain_function(kind)
-    return MappingProxyType({
-        sensors: law(sensors)
-        for sensors in (SensorInput(a, b) for a in (0, 1) for b in (0, 1))
-    })
+    return MappingProxyType({sensors: law(sensors) for sensors in SENSOR_INPUTS})
 
 
 def behavior_label(motors: MotorOutput) -> str:

@@ -79,8 +79,8 @@ class ControlSpec:
 
     def __post_init__(self) -> None:
         _check_int("control qubit", self.qubit, 0)
-        if self.value not in (0, 1):
-            raise ValueError(f"control value must be 0 or 1, got {self.value}")
+        if isinstance(self.value, bool) or not isinstance(self.value, int) or self.value not in (0, 1):
+            raise ValueError(f"control value must be the int 0 or 1, got {self.value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +97,10 @@ class CircuitOp:
 
     def __post_init__(self) -> None:
         controls, targets = tuple(self.controls), tuple(self.targets)
-        n_ctrl, n_tgt = ARITY[self.kind]
+        try:
+            n_ctrl, n_tgt = ARITY[self.kind]
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
+            raise UnsupportedGateError(f"unknown gate kind {self.kind!r}") from None
         if len(controls) != n_ctrl or len(targets) != n_tgt:
             raise ValueError(
                 f"{self.kind.value} takes {n_ctrl} controls and {n_tgt} targets, "
@@ -125,7 +128,9 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         n = self.n_qubits
         _check_int("n_qubits", n, 1)
-        for op in self.ops:
+        for i, op in enumerate(self.ops):
+            if not isinstance(op, CircuitOp):
+                raise ValueError(f"ops[{i}] must be a CircuitOp, got {op!r}")
             if max(op.qubits) >= n:
                 bad = [q for q in op.qubits if q >= n]
                 raise ValueError(f"op {op.kind.value} references qubits {bad} >= n_qubits={n}")
@@ -244,8 +249,6 @@ def lower(circuit: Circuit) -> Circuit:
     """
     positive: list[CircuitOp] = []
     for op in circuit.ops:
-        if op.kind not in ARITY:
-            raise UnsupportedGateError(f"unknown gate kind {op.kind!r}")
         for part in ccxx_decompose(op) if op.kind is GateKind.CCXX else (op,):
             positive.extend(polarity_lower(part))
 

@@ -16,13 +16,12 @@ bytes, whichever brain computes the motor commands.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from numbers import Real
 from typing import Callable, Mapping
 
-from .brain import MotorOutput, SensorInput, control_table
+from .brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table, reject_non_int
 
 #: Lane occupied by each obstacle track.
 TRACK_LANES = {1: 1, 2: 4}
@@ -108,7 +107,7 @@ class GameConfig:
         return cls(**dict(data))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RobotPose:
     """Robot position: road row, left lane of the two occupied, and altitude."""
 
@@ -117,6 +116,8 @@ class RobotPose:
     altitude: int = 0
 
     def __post_init__(self) -> None:
+        if not (int is type(self.row) is type(self.left_lane) is type(self.altitude)):
+            reject_non_int(self, "row", "left_lane", "altitude")
         if self.row < 0:
             raise ValueError(f"row must be >= 0, got {self.row}")
         if self.left_lane not in (1, 2, 3):
@@ -129,7 +130,7 @@ class RobotPose:
         return (self.left_lane, self.left_lane + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obstacle:
     """One obstacle on a terminal track; direction is rows per tick, fixed at spawn."""
 
@@ -138,13 +139,15 @@ class Obstacle:
     direction: int
 
     def __post_init__(self) -> None:
+        if not (int is type(self.track) is type(self.row) is type(self.direction)):
+            reject_non_int(self, "track", "row", "direction")
         if self.track not in (1, 2):
             raise ValueError(f"track must be 1 or 2, got {self.track}")
         if self.direction not in (-1, 1):
             raise ValueError(f"direction must be -1 or +1, got {self.direction}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickTrace:
     """Everything one executed tick did, for logging and replay comparison."""
 
@@ -155,6 +158,10 @@ class TickTrace:
     motors: MotorOutput
     obstacles: tuple[Obstacle, ...]
     status: EpisodeStatus
+
+    def __post_init__(self) -> None:
+        if type(self.tick) is not int or self.tick < 0:
+            raise ValueError(f"tick must be an int >= 0, got {self.tick!r}")
 
 
 @dataclass
@@ -185,14 +192,14 @@ def new_game(config: GameConfig) -> GameState:
 
 
 def sense(state: GameState) -> SensorInput:
-    """OR of each track's presence within the forward detection window."""
+    """OR of each track's presence within the forward detection window, as one of ``SENSOR_INPUTS``."""
     lo = state.robot.row + 1
     hi = state.robot.row + state.config.detection_window
-    hit = {1: False, 2: False}
+    hit = [0, 0]
     for o in state.obstacles:
         if lo <= o.row <= hi:
-            hit[o.track] = True
-    return SensorInput(int(hit[1]), int(hit[2]))
+            hit[o.track - 1] = 1
+    return SENSOR_INPUTS[2 * hit[0] + hit[1]]
 
 
 def act(state: GameState, motors: MotorOutput) -> GameState:
@@ -250,7 +257,7 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     if robot.altitude == 0:
         for old, o in zip(state.obstacles, moved):
             offset = o.row - robot.row
-            if (offset == 0 or old.row - before.row > 0 > offset) and TRACK_LANES[o.track] in robot.lanes:
+            if (offset == 0 or old.row - before.row > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1:
                 state.status = EpisodeStatus.COLLIDED
                 state.collision_tick = state.tick
                 break
@@ -288,19 +295,14 @@ def trace_json_line(record: TickTrace) -> str:
     """Serialize one tick as a JSONL line; key order is part of the format.
 
     Pose fields are the post-step values; the obstacle list is the post-move,
-    post-spawn snapshot.
+    post-spawn snapshot. The line is formatted directly: every numeric field is
+    an int (each value type rejects anything else) and every status value is a
+    plain lowercase word, so this is the compact ``json.dumps`` of those fields.
     """
-    payload = {
-        "tick": record.tick,
-        "row": record.after.row,
-        "left_lane": record.after.left_lane,
-        "altitude": record.after.altitude,
-        "s1": record.sensors.s1,
-        "s2": record.sensors.s2,
-        "m1": record.motors.m1,
-        "m2": record.motors.m2,
-        "m3": record.motors.m3,
-        "obstacles": [{"track": o.track, "row": o.row, "dir": o.direction} for o in record.obstacles],
-        "status": record.status.value,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    after, s, m = record.after, record.sensors, record.motors
+    obstacles = ",".join([f'{{"track":{o.track},"row":{o.row},"dir":{o.direction}}}' for o in record.obstacles])
+    return (
+        f'{{"tick":{record.tick},"row":{after.row},"left_lane":{after.left_lane},"altitude":{after.altitude},'
+        f'"s1":{s.s1},"s2":{s.s2},"m1":{m.m1},"m2":{m.m2},"m3":{m.m3},'
+        f'"obstacles":[{obstacles}],"status":"{record.status.value}"}}'
+    )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,22 @@ class TestValueTypes:
     def test_motor_bits_validated(self):
         with pytest.raises(ValueError):
             MotorOutput(0, 2, 0)
+
+    @pytest.mark.parametrize(
+        "args,field,value",
+        [((True, 0), "s1", "True"), ((0, False), "s2", "False"), ((1.0, 0), "s1", "1.0"), ((0, np.int64(1)), "s2", "np.int64(1)")],
+    )
+    def test_sensor_bits_must_be_ints(self, args, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(value)}$"):
+            SensorInput(*args)
+
+    @pytest.mark.parametrize(
+        "args,field,value",
+        [((True, 1, 0), "m1", "True"), ((1, 1, False), "m3", "False"), ((1, 1.0, 0), "m2", "1.0")],
+    )
+    def test_motor_bits_must_be_ints(self, args, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(value)}$"):
+            MotorOutput(*args)
 
     def test_flight_excludes_wheels(self):
         with pytest.raises(ValueError, match="flight"):

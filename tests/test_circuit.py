@@ -74,6 +74,20 @@ class TestIrValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an int >= [01], got {re.escape(value)}$"):
             build()
 
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_non_int_control_value_rejected(self, value):
+        # without the check cx(0, 1, value=1.0) is accepted and run_circuit fails on a float slice index
+        with pytest.raises(ValueError, match=f"^control value must be the int 0 or 1, got {value!r}$"):
+            cx(0, 1, value=value)
+
+    def test_unknown_gate_kind_is_unsupported_gate_error(self):
+        with pytest.raises(UnsupportedGateError, match="^unknown gate kind 'x'$"):
+            CircuitOp("x", (), (0,))
+
+    def test_non_op_in_circuit_names_index_and_value(self):
+        with pytest.raises(ValueError, match=r"^ops\[1\] must be a CircuitOp, got 'x'$"):
+            Circuit(2, (x(0), "x"))
+
 
 class TestStoredQubits:
     """``qubits`` is stored at construction but is not part of the op's value."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -164,6 +165,18 @@ class TestGameRun:
             for record in run_episode(GameConfig(seed=seed)).trace
         )
         assert path.read_bytes() == expected.encode()
+
+    def test_trace_and_stdout_bytes_pinned(self, capsys, tmp_path):
+        # digests of the dict-plus-json.dumps serializer's output, before trace lines were formatted directly
+        path = tmp_path / "t.jsonl"
+        code, out, _ = run_cli(capsys, "game-run", "--seed", "0", "--episodes", "50", "--trace-out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ca0c3785849692a44900d9054e9066ec3b48eb80737de1381668d276f0f1f4c3"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "56391499dc9632fd918848aa751467d486c911eb3724f9575ce0d33909450697"
+        )
 
     def test_unwritable_trace_out_fails_before_any_episode(self, capsys):
         code, out, err = run_cli(capsys, "game-run", "--trace-out", "/no/such/dir/t.jsonl")

@@ -1,10 +1,12 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbraitenberg.brain import MotorOutput, SensorInput, drive
+from qbraitenberg.brain import BRAIN_KINDS, MotorOutput, SensorInput, control_table, drive
 from qbraitenberg.game import (
     EpisodeStatus,
     GameConfig,
@@ -22,6 +24,39 @@ from qbraitenberg.game import (
 )
 
 QUIET = GameConfig(spawn_prob=0.0)
+
+
+def reference_trace_json_line(record):
+    """The dict-plus-``json.dumps`` serializer that ``trace_json_line`` replaced, kept as its oracle."""
+    payload = {
+        "tick": record.tick,
+        "row": record.after.row,
+        "left_lane": record.after.left_lane,
+        "altitude": record.after.altitude,
+        "s1": record.sensors.s1,
+        "s2": record.sensors.s2,
+        "m1": record.motors.m1,
+        "m2": record.motors.m2,
+        "m3": record.motors.m3,
+        "obstacles": [{"track": o.track, "row": o.row, "dir": o.direction} for o in record.obstacles],
+        "status": record.status.value,
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+@st.composite
+def game_configs(draw):
+    """Small valid configs; odd spawn horizons let oncoming obstacles reach the robot unsensed."""
+    window = draw(st.integers(2, 5))
+    return GameConfig(
+        road_length=draw(st.integers(1, 40)),
+        detection_window=window,
+        spawn_horizon=draw(st.integers(window + 1, window + 8)),
+        spawn_prob=draw(st.floats(0.0, 1.0)),
+        min_gap=draw(st.integers(0, 4)),
+        max_ticks=draw(st.none() | st.integers(1, 80)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
 
 
 def make_state(config=QUIET, robot=RobotPose(), obstacles=()):
@@ -120,6 +155,14 @@ class TestSense:
         assert sense(state) == SensorInput(0, 0)
         state = make_state(obstacles=[Obstacle(2, 3, -1)])
         assert sense(state) == SensorInput(0, 1)
+
+
+    @pytest.mark.parametrize("kind", BRAIN_KINDS)
+    def test_returns_the_objects_the_control_table_is_keyed_by(self, kind):
+        roads = ((), (Obstacle(1, 2, -1),), (Obstacle(2, 2, -1),), (Obstacle(1, 2, -1), Obstacle(2, 3, 1)))
+        sensed = [sense(make_state(obstacles=road)) for road in roads]
+        assert sensed == [SensorInput(0, 0), SensorInput(1, 0), SensorInput(0, 1), SensorInput(1, 1)]
+        assert {id(s) for s in sensed} == {id(key) for key in control_table(kind)}
 
 
 class TestAct:
@@ -360,6 +403,16 @@ class TestTraceFormat:
             "obstacles", "status",
         ]
 
+    @settings(max_examples=150, deadline=None)
+    @given(config=game_configs(), veer=st.sampled_from([MotorOutput(0, 1, 0), MotorOutput(1, 0, 0)]))
+    def test_matches_reference_serializer_on_every_record(self, config, veer):
+        # the paper brain never collides; a blind brain veering onto an obstacle track covers "collided" records
+        blind = new_game(config)
+        while blind.status is EpisodeStatus.RUNNING:
+            step(blind, lambda sensors: veer)
+        for record in run_episode(config, "classical").trace + tuple(blind.trace):
+            assert trace_json_line(record) == reference_trace_json_line(record)
+
     def test_final_record_carries_terminal_status(self):
         result = run_episode(GameConfig(spawn_prob=0.0, road_length=3))
         assert [r.status for r in result.trace] == [
@@ -384,3 +437,26 @@ class TestPoseAndObstacleTypes:
             Obstacle(3, 0, 1)
         with pytest.raises(ValueError):
             Obstacle(1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "args,field,value",
+        [((True, 2, 0), "row", "True"), ((0, 1.0, 0), "left_lane", "1.0"), ((0, 2, False), "altitude", "False"),
+         ((np.int64(0), 2, 0), "row", "np.int64(0)")],
+    )
+    def test_pose_fields_must_be_ints(self, args, field, value):
+        # without the check RobotPose(True, 1.0, 0) is accepted and serialized as "row":true
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(value)}$"):
+            RobotPose(*args)
+
+    @pytest.mark.parametrize(
+        "args,field,value",
+        [((True, 2, 1), "track", "True"), ((1, 2.5, 1), "row", "2.5"), ((2, 2, -1.0), "direction", "-1.0")],
+    )
+    def test_obstacle_fields_must_be_ints(self, args, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(value)}$"):
+            Obstacle(*args)
+
+    @pytest.mark.parametrize("tick", [True, 1.0, -1])
+    def test_tick_must_be_a_non_negative_int(self, tick):
+        with pytest.raises(ValueError, match=rf"^tick must be an int >= 0, got {re.escape(repr(tick))}$"):
+            TickTrace(tick, RobotPose(), RobotPose(1), SensorInput(0, 0), MotorOutput(1, 1, 0), (), EpisodeStatus.RUNNING)
