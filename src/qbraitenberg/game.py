@@ -7,7 +7,9 @@ to its motor command. Obstacles move one row per tick up or down the road;
 their direction is fixed at spawn time. Because the robot also advances one
 row per tick, an oncoming obstacle closes two rows per tick and one moving
 away holds a constant offset, which is why the detection window must reach
-at least two rows ahead.
+at least two rows ahead. An obstacle's row is an affine function of the
+tick, so each one is built once, at spawn, and its row is derived from the
+tick (``Obstacle.row_at``) rather than stored and moved.
 
 All randomness comes from one splitmix64 stream per episode with a fixed
 draw order, so a (seed, config) pair determines the run down to the trace
@@ -125,26 +127,36 @@ class RobotPose:
         if self.altitude not in (0, 1):
             raise ValueError(f"altitude must be 0 or 1, got {self.altitude}")
 
-    @property
-    def lanes(self) -> tuple[int, int]:
-        return (self.left_lane, self.left_lane + 1)
-
 
 @dataclass(frozen=True, slots=True)
 class Obstacle:
-    """One obstacle on a terminal track; direction is rows per tick, fixed at spawn."""
+    """One obstacle on a terminal track; direction is rows per tick, fixed at spawn.
+
+    The obstacle is built once, at spawn, and never moved: ``row0`` is the row
+    it would hold at tick 0, its spawn row extrapolated back along
+    ``direction``, and ``row_at(tick)`` gives its row at any tick. An obstacle
+    built by hand for a fresh game (tick 0) therefore sits at ``row0``.
+    """
 
     track: int
-    row: int
+    row0: int
     direction: int
 
     def __post_init__(self) -> None:
-        if not (int is type(self.track) is type(self.row) is type(self.direction)):
-            reject_non_int(self, "track", "row", "direction")
+        if not (int is type(self.track) is type(self.row0) is type(self.direction)):
+            reject_non_int(self, "track", "row0", "direction")
         if self.track not in (1, 2):
             raise ValueError(f"track must be 1 or 2, got {self.track}")
         if self.direction not in (-1, 1):
             raise ValueError(f"direction must be -1 or +1, got {self.direction}")
+
+    def row_at(self, tick: int) -> int:
+        """The obstacle's row while ``state.tick == tick``, i.e. before step ``tick`` runs.
+
+        The snapshot in the trace record of tick ``k`` is taken after the move,
+        so its rows are ``row_at(k + 1)``. The game's hot paths inline this sum.
+        """
+        return self.row0 + self.direction * tick
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +178,12 @@ class TickTrace:
 
 @dataclass
 class GameState:
-    """Mutable episode state; owned by exactly one caller at a time."""
+    """Mutable episode state; owned by exactly one caller at a time.
+
+    ``tick`` counts the steps taken so far, and each live obstacle's row is
+    ``row_at(tick)``. Obstacles are immutable and shared with every
+    ``TickTrace`` snapshot that holds them.
+    """
 
     config: GameConfig
     robot: RobotPose
@@ -195,9 +212,10 @@ def sense(state: GameState) -> SensorInput:
     """OR of each track's presence within the forward detection window, as one of ``SENSOR_INPUTS``."""
     lo = state.robot.row + 1
     hi = state.robot.row + state.config.detection_window
+    t = state.tick
     hit = [0, 0]
     for o in state.obstacles:
-        if lo <= o.row <= hi:
+        if lo <= o.row0 + o.direction * t <= hi:
             hit[o.track - 1] = 1
     return SENSOR_INPUTS[2 * hit[0] + hit[1]]
 
@@ -224,56 +242,62 @@ def spawn_obstacles(state: GameState) -> GameState:
 
     A passing spawn coin inserts an obstacle at the spawn horizon unless an
     existing same-track obstacle lies within min_gap rows of that spot; the
-    direction coin is drawn only when the insertion actually happens.
+    direction coin is drawn only when the insertion actually happens. Rows
+    are those at ``state.tick``; this is the only place obstacles are built.
     """
     cfg = state.config
     spawn_row = state.robot.row + cfg.spawn_horizon
+    t = state.tick
     for track in (1, 2):
         if state.rng.random() >= cfg.spawn_prob:
             continue
-        if any(o.track == track and abs(o.row - spawn_row) <= cfg.min_gap for o in state.obstacles):
+        if any(o.track == track and abs(o.row0 + o.direction * t - spawn_row) <= cfg.min_gap
+               for o in state.obstacles):
             continue
         direction = -1 if state.rng.random() < 0.5 else 1
-        state.obstacles.append(Obstacle(track, spawn_row, direction))
+        state.obstacles.append(Obstacle(track, spawn_row - direction * t, direction))
     return state
 
 
 def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameState:
     """Advance one tick in fixed order: sense, drive, act, move obstacles,
     resolve collisions, despawn/spawn, then check finish line and tick budget.
+
+    Obstacles move by advancing ``state.tick``: none is rebuilt, and the
+    spawn pass places new ones at the advanced tick.
     """
     if state.status is not EpisodeStatus.RUNNING:
         raise RuntimeError(f"cannot step a {state.status.value} episode")
     cfg = state.config
 
+    tick = state.tick
     before = state.robot
     sensors = sense(state)
     motors = brain(sensors)
     act(state, motors)
-    moved = [Obstacle(o.track, o.row + o.direction, o.direction) for o in state.obstacles]
+    robot = state.robot
+    t = state.tick = tick + 1
 
     # Swept: from an odd offset an oncoming obstacle passes the robot without sharing its row.
-    robot = state.robot
+    # Before the move the offset was offset - direction + 1: the robot advances one row per tick.
     if robot.altitude == 0:
-        for old, o in zip(state.obstacles, moved):
-            offset = o.row - robot.row
-            if (offset == 0 or old.row - before.row > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1:
+        for o in state.obstacles:
+            offset = o.row0 + o.direction * t - robot.row
+            if (offset == 0 or offset - o.direction + 1 > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1:
                 state.status = EpisodeStatus.COLLIDED
-                state.collision_tick = state.tick
+                state.collision_tick = tick
                 break
 
-    state.obstacles = [o for o in moved if o.row >= robot.row - 2]
+    behind = robot.row - 2
+    state.obstacles = [o for o in state.obstacles if o.row0 + o.direction * t >= behind]
     spawn_obstacles(state)
 
     if state.status is EpisodeStatus.RUNNING and robot.row >= cfg.road_length:
         state.status = EpisodeStatus.WON
-    state.tick += 1
-    if state.status is EpisodeStatus.RUNNING and state.tick >= cfg.max_ticks:
+    if state.status is EpisodeStatus.RUNNING and t >= cfg.max_ticks:
         state.status = EpisodeStatus.TIMED_OUT
 
-    state.trace.append(
-        TickTrace(state.tick - 1, before, robot, sensors, motors, tuple(state.obstacles), state.status)
-    )
+    state.trace.append(TickTrace(tick, before, robot, sensors, motors, tuple(state.obstacles), state.status))
     return state
 
 
@@ -295,12 +319,16 @@ def trace_json_line(record: TickTrace) -> str:
     """Serialize one tick as a JSONL line; key order is part of the format.
 
     Pose fields are the post-step values; the obstacle list is the post-move,
-    post-spawn snapshot. The line is formatted directly: every numeric field is
-    an int (each value type rejects anything else) and every status value is a
-    plain lowercase word, so this is the compact ``json.dumps`` of those fields.
+    post-spawn snapshot, so each obstacle's ``"row"`` is ``row_at(tick + 1)``.
+    The line is formatted directly: every numeric field is an int (each value
+    type rejects anything else) and every status value is a plain lowercase
+    word, so this is the compact ``json.dumps`` of those fields.
     """
     after, s, m = record.after, record.sensors, record.motors
-    obstacles = ",".join([f'{{"track":{o.track},"row":{o.row},"dir":{o.direction}}}' for o in record.obstacles])
+    t = record.tick + 1
+    obstacles = ",".join(
+        [f'{{"track":{o.track},"row":{o.row0 + o.direction * t},"dir":{o.direction}}}' for o in record.obstacles]
+    )
     return (
         f'{{"tick":{record.tick},"row":{after.row},"left_lane":{after.left_lane},"altitude":{after.altitude},'
         f'"s1":{s.s1},"s2":{s.s2},"m1":{m.m1},"m2":{m.m2},"m3":{m.m3},'

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -38,7 +39,7 @@ def reference_trace_json_line(record):
         "m1": record.motors.m1,
         "m2": record.motors.m2,
         "m3": record.motors.m3,
-        "obstacles": [{"track": o.track, "row": o.row, "dir": o.direction} for o in record.obstacles],
+        "obstacles": [{"track": o.track, "row": o.row_at(record.tick + 1), "dir": o.direction} for o in record.obstacles],
         "status": record.status.value,
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -210,7 +211,7 @@ class TestSpawn:
         state = make_state(GameConfig(spawn_prob=1.0))
         spawn_obstacles(state)
         assert [o.track for o in state.obstacles] == [1, 2]
-        assert all(o.row == state.robot.row + 10 for o in state.obstacles)
+        assert all(o.row_at(state.tick) == state.robot.row + 10 for o in state.obstacles)
 
     def test_existing_obstacle_blocks_spawn(self):
         blocker = Obstacle(1, 10, 1)
@@ -249,7 +250,7 @@ class TestSpawn:
         rng.random()  # track 2 spawn coin
         d2 = -1 if rng.random() < 0.5 else 1
         spawned = [o for o in state.obstacles if o.track == 2]
-        assert [(o.row, o.direction) for o in spawned] == [(10, d2)]
+        assert [(o.row_at(state.tick), o.direction) for o in spawned] == [(10, d2)]
 
 
 class TestStep:
@@ -270,7 +271,7 @@ class TestStep:
         assert state.trace[-1].sensors == SensorInput(1, 0)
         assert state.trace[-1].motors == MotorOutput(1, 0, 0)
         assert state.robot == RobotPose(1, 2, 0)
-        assert state.obstacles == [Obstacle(1, 1, -1)]
+        assert [(o.track, o.row_at(state.tick), o.direction) for o in state.obstacles] == [(1, 1, -1)]
         assert state.status is EpisodeStatus.RUNNING
 
     def test_double_threat_is_overflown(self):
@@ -279,7 +280,7 @@ class TestStep:
         step(state, drive)
         assert state.trace[-1].motors == MotorOutput(0, 0, 1)
         assert state.robot == RobotPose(1, 2, 1)
-        assert all(o.row == 1 for o in state.obstacles)
+        assert all(o.row_at(state.tick) == 1 for o in state.obstacles)
         assert state.status is EpisodeStatus.RUNNING
 
     def test_grounded_robot_collides_without_evasion(self):
@@ -365,7 +366,7 @@ class TestRunEpisode:
                 assert flying == (record.sensors == SensorInput(1, 1))
                 # anything reaching the robot's row was sensed the same tick
                 for obstacle in record.obstacles:
-                    if obstacle.row == record.after.row:
+                    if obstacle.row_at(record.tick + 1) == record.after.row:
                         sensed = record.sensors.s1 if obstacle.track == 1 else record.sensors.s2
                         assert sensed == 1
 
@@ -373,7 +374,7 @@ class TestRunEpisode:
         result = run_episode(GameConfig(seed=3, spawn_prob=0.9), "classical")
         for record in result.trace:
             for obstacle in record.obstacles:
-                offset = obstacle.row - record.after.row
+                offset = obstacle.row_at(record.tick + 1) - record.after.row
                 if obstacle.direction == 1:
                     assert offset == 10  # spawned at the horizon; never approaches
                 else:
@@ -388,7 +389,7 @@ class TestTraceFormat:
             after=RobotPose(5, 1, 0),
             sensors=SensorInput(0, 1),
             motors=MotorOutput(0, 1, 0),
-            obstacles=(Obstacle(2, 7, -1),),
+            obstacles=(Obstacle(2, 12, -1),),  # row_at(5) == 7
             status=EpisodeStatus.RUNNING,
         )
         line = trace_json_line(record)
@@ -413,6 +414,53 @@ class TestTraceFormat:
         for record in run_episode(config, "classical").trace + tuple(blind.trace):
             assert trace_json_line(record) == reference_trace_json_line(record)
 
+    def test_bytes_pinned_across_configs_and_brains(self):
+        # sha256 over outcome and every trace line; the digest was taken before obstacles were built once
+        configs = (
+            {},
+            {"spawn_horizon": 9},
+            {"spawn_horizon": 11, "min_gap": 0, "spawn_prob": 0.5},
+            {"detection_window": 2, "spawn_horizon": 3, "spawn_prob": 1.0},
+            {"spawn_prob": 0.0},
+        )
+        blind_brains = (MotorOutput(1, 1, 0), MotorOutput(0, 1, 0), MotorOutput(1, 0, 0))
+        digest = hashlib.sha256()
+        collided = 0
+        for overrides in configs:
+            for seed in range(4):
+                config = GameConfig(seed=seed, **overrides)
+                result = run_episode(config, "classical")
+                runs = [(result.status, result.ticks_elapsed, result.collision_tick, result.trace)]
+                for motors in blind_brains:
+                    state = new_game(config)
+                    while state.status is EpisodeStatus.RUNNING:
+                        step(state, lambda sensors: motors)
+                    runs.append((state.status, state.tick, state.collision_tick, state.trace))
+                for status, ticks, collision_tick, trace in runs:
+                    collided += status is EpisodeStatus.COLLIDED
+                    digest.update(f"{status.value} {ticks} {collision_tick}\n".encode())
+                    for record in trace:
+                        digest.update(trace_json_line(record).encode() + b"\n")
+        assert collided == 14
+        assert digest.hexdigest() == "fc5a61488ac485608858ef7b6ce6642b6f3dd65fdb2121199a4bb7c300671e33"
+
+    def test_obstacles_are_built_once(self):
+        # each snapshot is the previous one's surviving objects, then those spawned on that tick
+        state = new_game(GameConfig(spawn_prob=1.0, seed=5, road_length=40))
+        while state.status is EpisodeStatus.RUNNING:
+            step(state, drive)
+        spawned = carried = 0
+        for prev, record in zip(state.trace, state.trace[1:]):
+            t = record.tick + 1
+            kept = [o for o in prev.obstacles if o.row_at(t) >= record.after.row - 2]
+            new = record.obstacles[len(kept):]
+            assert len(record.obstacles) >= len(kept)
+            assert all(o is p for o, p in zip(record.obstacles, kept))
+            assert all(o.row_at(t) == record.after.row + state.config.spawn_horizon for o in new)
+            spawned += len(new)
+            carried += len(kept)
+        assert (spawned, carried) == (4, 94)
+
     def test_final_record_carries_terminal_status(self):
         result = run_episode(GameConfig(spawn_prob=0.0, road_length=3))
         assert [r.status for r in result.trace] == [
@@ -429,8 +477,11 @@ class TestPoseAndObstacleTypes:
         with pytest.raises(ValueError):
             RobotPose(0, 2, 2)
 
-    def test_pose_lanes(self):
-        assert RobotPose(0, 3, 0).lanes == (3, 4)
+    def test_row_at_is_affine_in_the_tick(self):
+        oncoming = Obstacle(1, 30, -1)  # spawned at row 20 on tick 10
+        receding = Obstacle(2, 10, 1)  # spawned at row 20 on tick 10
+        assert [oncoming.row_at(t) for t in (0, 10, 11, 12)] == [30, 20, 19, 18]
+        assert [receding.row_at(t) for t in (0, 10, 11, 12)] == [10, 20, 21, 22]
 
     def test_obstacle_validation(self):
         with pytest.raises(ValueError):
@@ -450,7 +501,7 @@ class TestPoseAndObstacleTypes:
 
     @pytest.mark.parametrize(
         "args,field,value",
-        [((True, 2, 1), "track", "True"), ((1, 2.5, 1), "row", "2.5"), ((2, 2, -1.0), "direction", "-1.0")],
+        [((True, 2, 1), "track", "True"), ((1, 2.5, 1), "row0", "2.5"), ((2, 2, -1.0), "direction", "-1.0")],
     )
     def test_obstacle_fields_must_be_ints(self, args, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(value)}$"):
