@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .circuit import Circuit, ccx, ccxx, cx, lower
+from .circuit import Circuit, ccx, ccxx, cx, lower, require_int
 from .qsim import OutcomeDistribution, new_basis_state, outcome_distribution, run_circuit
 
 #: A measured outcome must carry at least this much probability to count as
@@ -32,18 +32,6 @@ class NondeterministicOutcomeError(RuntimeError):
     """The measured distribution was not a delta; the control circuit is broken."""
 
 
-def reject_non_int(value: object, *names: str) -> None:
-    """Raise ValueError naming the first field of ``value`` that is not exactly an int.
-
-    A bool is not an int here. Callers test ``int is type(a) is type(b) ...``
-    first and call this only when that fails, so the check stays cheap per tick.
-    """
-    for name in names:
-        field_value = getattr(value, name)
-        if type(field_value) is not int:
-            raise ValueError(f"{name} must be an int, got {field_value!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class SensorInput:
     """The two light-sensor bits (s1 = left side, s2 = right side)."""
@@ -53,7 +41,8 @@ class SensorInput:
 
     def __post_init__(self) -> None:
         if not (int is type(self.s1) is type(self.s2)):
-            reject_non_int(self, "s1", "s2")
+            for name in ("s1", "s2"):
+                require_int(name, getattr(self, name))
         if self.s1 not in (0, 1) or self.s2 not in (0, 1):
             raise ValueError(f"sensor values must be bits, got ({self.s1}, {self.s2})")
 
@@ -73,7 +62,8 @@ class MotorOutput:
 
     def __post_init__(self) -> None:
         if not (int is type(self.m1) is type(self.m2) is type(self.m3)):
-            reject_non_int(self, "m1", "m2", "m3")
+            for name in ("m1", "m2", "m3"):
+                require_int(name, getattr(self, name))
         if any(m not in (0, 1) for m in (self.m1, self.m2, self.m3)):
             raise ValueError(f"motor values must be bits, got ({self.m1}, {self.m2}, {self.m3})")
         if self.m3 == 1 and (self.m1 or self.m2):
@@ -129,7 +119,7 @@ def build_robot_circuit() -> Circuit:
         ccxx(0, 1, 2, 3, values=(0, 0)),
         ccx(2, 3, 4, values=(0, 0)),
     )
-    return Circuit(5, ops, name="robot")
+    return Circuit(5, ops)
 
 
 @lru_cache(maxsize=None)

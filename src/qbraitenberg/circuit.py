@@ -61,10 +61,15 @@ _QASM_NAMES = {
 LOWERED_KINDS = frozenset(_QASM_NAMES)
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Reject a wire index or width that is not an int >= low (a bool is not an int here)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+def require_int(name: str, value: object, low: int | None = None) -> None:
+    """The package's one int rule: raise ValueError unless ``type(value) is int`` and ``value >= low``.
+
+    Bools, numpy integers and other ``int`` subclasses fail. Per-tick value
+    types test ``int is type(a) is type(b)`` inline and call this only to raise.
+    """
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,8 +83,8 @@ class ControlSpec:
     value: int = 1
 
     def __post_init__(self) -> None:
-        _check_int("control qubit", self.qubit, 0)
-        if isinstance(self.value, bool) or not isinstance(self.value, int) or self.value not in (0, 1):
+        require_int("control qubit", self.qubit, 0)
+        if type(self.value) is not int or self.value not in (0, 1):
             raise ValueError(f"control value must be the int 0 or 1, got {self.value!r}")
 
 
@@ -107,7 +112,7 @@ class CircuitOp:
                 f"got {len(controls)} and {len(targets)}"
             )
         for q in targets:
-            _check_int("target qubit", q, 0)
+            require_int("target qubit", q, 0)
         qubits = tuple([c.qubit for c in controls]) + targets
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"controls and targets must be distinct qubits, got {list(qubits)}")
@@ -122,12 +127,11 @@ class Circuit:
 
     n_qubits: int
     ops: tuple[CircuitOp, ...] = ()
-    name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
         n = self.n_qubits
-        _check_int("n_qubits", n, 1)
+        require_int("n_qubits", n, 1)
         for i, op in enumerate(self.ops):
             if not isinstance(op, CircuitOp):
                 raise ValueError(f"ops[{i}] must be a CircuitOp, got {op!r}")
@@ -255,7 +259,7 @@ def lower(circuit: Circuit) -> Circuit:
     lowered: list[CircuitOp] = []
     for op in _cancel_facing_x(positive):
         lowered.extend(ccx_decompose(op) if op.kind is GateKind.CCX else (op,))
-    return Circuit(circuit.n_qubits, tuple(lowered), circuit.name)
+    return Circuit(circuit.n_qubits, tuple(lowered))
 
 
 def depth(circuit: Circuit) -> int:
@@ -289,7 +293,7 @@ def export_qasm(circuit: Circuit, measured: tuple[int, ...] | list[int]) -> str:
                 raise UnsupportedGateError("cannot export anticontrolled ops; lower the circuit first")
         lines.append(f"{name} q[{'],q['.join(map(str, op.qubits))}];")
     for q in measured:
-        _check_int("measured qubit", q, 0)
+        require_int("measured qubit", q, 0)
     if len(set(measured)) != len(measured):
         raise ValueError(f"measured qubits must be distinct, got {measured}")
     if any(q >= circuit.n_qubits for q in measured):

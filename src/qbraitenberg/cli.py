@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 
 from .brain import (
@@ -79,6 +79,11 @@ def _cmd_circuit_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_circuit_export(args: argparse.Namespace) -> int:
     text = export_qasm(lower(build_robot_circuit()), LAYOUT.measured)
     if args.out is None:
@@ -88,8 +93,7 @@ def _cmd_circuit_export(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(args.out, exc)
     return 0
 
 
@@ -122,20 +126,26 @@ def _cmd_game_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     kind = args.brain.replace("-", "_")
     statuses: Counter = Counter()
     ticks = 0
+    path = args.trace_out
     try:
-        with open(args.trace_out, "w", encoding="utf-8", newline="") if args.trace_out else nullcontext() as fh:
-            for i in range(args.episodes):
-                result = run_episode(replace(config, seed=base_seed + i), kind)
-                print(f"episode={i} seed={base_seed + i} status={result.status.value} ticks={result.ticks_elapsed}")
-                if fh is not None:
-                    fh.writelines(trace_json_line(record) + "\n" for record in result.trace)
-                statuses[result.status] += 1
-                ticks += result.ticks_elapsed
+        fh = open(path, "w", encoding="utf-8", newline="") if path else None
     except OSError as exc:
-        if not args.trace_out:
-            raise
-        print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(path, exc)
+    with fh if fh is not None else nullcontext():
+        for i in range(args.episodes):
+            result = run_episode(replace(config, seed=base_seed + i), kind)
+            print(f"episode={i} seed={base_seed + i} status={result.status.value} ticks={result.ticks_elapsed}")
+            statuses[result.status] += 1
+            ticks += result.ticks_elapsed
+            if fh is not None:
+                # The flush puts every trace write error here and leaves the closing exit nothing to write.
+                try:
+                    fh.writelines(trace_json_line(record) + "\n" for record in result.trace)
+                    fh.flush()
+                except OSError as exc:
+                    with suppress(OSError):  # the unwritten rest would fail again
+                        fh.close()
+                    return _cannot_write(path, exc)
 
     print(
         f"episodes={args.episodes} wins={statuses[EpisodeStatus.WON]} "

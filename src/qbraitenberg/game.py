@@ -23,12 +23,16 @@ from enum import Enum
 from numbers import Real
 from typing import Callable, Mapping
 
-from .brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table, reject_non_int
+from .brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table
+from .circuit import require_int
 
 #: Lane occupied by each obstacle track.
 TRACK_LANES = {1: 1, 2: 4}
 
 _MASK64 = (1 << 64) - 1
+
+#: Least value of each bounded int field of ``GameConfig``.
+_CONFIG_LOWS = {"road_length": 1, "detection_window": 2, "min_gap": 0, "max_ticks": 1}
 
 
 class EpisodeStatus(Enum):
@@ -76,17 +80,13 @@ class GameConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "max_ticks" and value is None:
-                continue
-            kind, what = (Real, "a real number") if f.name == "spawn_prob" else (int, "an int")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if f.name == "spawn_prob":
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise ValueError(f"spawn_prob must be a real number, got {value!r}")
+            elif not (f.name == "max_ticks" and value is None):
+                require_int(f.name, value, _CONFIG_LOWS.get(f.name))
         if self.max_ticks is None:
             object.__setattr__(self, "max_ticks", 4 * self.road_length)
-        if self.road_length < 1:
-            raise ValueError(f"road_length must be >= 1, got {self.road_length}")
-        if self.detection_window < 2:
-            raise ValueError(f"detection_window must be >= 2, got {self.detection_window}")
         if self.spawn_horizon <= self.detection_window:
             raise ValueError(
                 f"spawn_horizon ({self.spawn_horizon}) must exceed "
@@ -94,10 +94,6 @@ class GameConfig:
             )
         if not 0.0 <= self.spawn_prob <= 1.0:
             raise ValueError(f"spawn_prob must be in [0, 1], got {self.spawn_prob}")
-        if self.min_gap < 0:
-            raise ValueError(f"min_gap must be >= 0, got {self.min_gap}")
-        if self.max_ticks < 1:
-            raise ValueError(f"max_ticks must be >= 1, got {self.max_ticks}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "GameConfig":
@@ -119,7 +115,8 @@ class RobotPose:
 
     def __post_init__(self) -> None:
         if not (int is type(self.row) is type(self.left_lane) is type(self.altitude)):
-            reject_non_int(self, "row", "left_lane", "altitude")
+            for name in ("row", "left_lane", "altitude"):
+                require_int(name, getattr(self, name))
         if self.row < 0:
             raise ValueError(f"row must be >= 0, got {self.row}")
         if self.left_lane not in (1, 2, 3):
@@ -144,7 +141,8 @@ class Obstacle:
 
     def __post_init__(self) -> None:
         if not (int is type(self.track) is type(self.row0) is type(self.direction)):
-            reject_non_int(self, "track", "row0", "direction")
+            for name in ("track", "row0", "direction"):
+                require_int(name, getattr(self, name))
         if self.track not in (1, 2):
             raise ValueError(f"track must be 1 or 2, got {self.track}")
         if self.direction not in (-1, 1):
@@ -164,7 +162,6 @@ class TickTrace:
     """Everything one executed tick did, for logging and replay comparison."""
 
     tick: int
-    before: RobotPose
     after: RobotPose
     sensors: SensorInput
     motors: MotorOutput
@@ -172,8 +169,7 @@ class TickTrace:
     status: EpisodeStatus
 
     def __post_init__(self) -> None:
-        if type(self.tick) is not int or self.tick < 0:
-            raise ValueError(f"tick must be an int >= 0, got {self.tick!r}")
+        require_int("tick", self.tick, 0)
 
 
 @dataclass
@@ -271,7 +267,6 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     cfg = state.config
 
     tick = state.tick
-    before = state.robot
     sensors = sense(state)
     motors = brain(sensors)
     act(state, motors)
@@ -297,7 +292,7 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     if state.status is EpisodeStatus.RUNNING and t >= cfg.max_ticks:
         state.status = EpisodeStatus.TIMED_OUT
 
-    state.trace.append(TickTrace(tick, before, robot, sensors, motors, tuple(state.obstacles), state.status))
+    state.trace.append(TickTrace(tick, robot, sensors, motors, tuple(state.obstacles), state.status))
     return state
 
 

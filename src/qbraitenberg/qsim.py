@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, GateKind, UnsupportedGateError
+from .circuit import Circuit, CircuitOp, GateKind, UnsupportedGateError, require_int
 
 #: Tolerance for unitarity and normalization checks; double precision only
 #: ever has to absorb rounding here.
@@ -43,8 +43,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        require_int("n_qubits", self.n_qubits, 1)
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
@@ -64,8 +63,7 @@ class GateMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"gate arity must be >= 1, got {self.k}")
+        require_int("k", self.k, 1)
         entries = np.asarray(self.entries, dtype=complex)
         dim = 2**self.k
         if entries.shape != (dim, dim):
@@ -99,8 +97,7 @@ class OutcomeDistribution:
 
 def new_basis_state(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>, q0 being the leftmost character."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    require_int("n_qubits", n_qubits, 1)
     if len(bits) != n_qubits:
         raise ValueError(f"bit string {bits!r} does not match n_qubits={n_qubits}")
     if any(ch not in "01" for ch in bits):
@@ -182,9 +179,11 @@ def outcome_distribution(state: StateVector, measured: tuple[int, ...] | list[in
     n = state.n_qubits
     if not measured:
         raise ValueError("measured qubit list must not be empty")
+    for q in measured:
+        require_int("measured qubit", q, 0)
     if len(set(measured)) != len(measured):
         raise ValueError(f"repeated qubit in measured list {measured}")
-    if any(q < 0 or q >= n for q in measured):
+    if any(q >= n for q in measured):
         raise ValueError(f"measured qubits {measured} out of range for n_qubits={n}")
 
     p = np.abs(state.amps.reshape((2,) * n)) ** 2

@@ -12,6 +12,13 @@ import numpy as np
 from qbraitenberg.circuit import ARITY, Circuit, CircuitOp, ControlSpec, GateKind
 
 
+class NamedInt(int):
+    """An int subclass that prints as a name: a writer that accepted it would emit ``q[w]``."""
+
+    def __str__(self) -> str:
+        return "w"
+
+
 def permutation_matrix(n_qubits: int, index_map) -> np.ndarray:
     """Unitary permutation matrix from an explicit basis-index map."""
     dim = 2**n_qubits

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ccxx_16, cnot_4, depth_by_peeling, random_circuit, random_ops, toffoli_8
+from conftest import NamedInt, ccxx_16, cnot_4, depth_by_peeling, random_circuit, random_ops, toffoli_8
 from qbraitenberg.brain import build_robot_circuit
 from qbraitenberg.circuit import (
     LOWERED_KINDS,
@@ -62,11 +62,14 @@ class TestIrValidation:
         [
             (lambda: x(1.0), "target qubit", "1.0"),
             (lambda: cx(True, 2), "control qubit", "True"),
+            (lambda: cx(NamedInt(0), 2), "control qubit", "0"),
             (lambda: CircuitOp(GateKind.H, (), (np.int64(0),)), "target qubit", "np.int64(0)"),
             (lambda: Circuit(2.5, ()), "n_qubits", "2.5"),
             (lambda: Circuit(True, ()), "n_qubits", "True"),
+            (lambda: Circuit(NamedInt(2), ()), "n_qubits", "2"),
             (lambda: export_qasm(Circuit(2, ()), (1.0,)), "measured qubit", "1.0"),
             (lambda: export_qasm(Circuit(2, ()), (False,)), "measured qubit", "False"),
+            (lambda: export_qasm(Circuit(2, ()), (NamedInt(1),)), "measured qubit", "1"),
         ],
     )
     def test_non_int_wires_rejected_naming_field_and_value(self, build, field, value):
@@ -74,7 +77,7 @@ class TestIrValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an int >= [01], got {re.escape(value)}$"):
             build()
 
-    @pytest.mark.parametrize("value", [1.0, True])
+    @pytest.mark.parametrize("value", [1.0, True, NamedInt(1)])
     def test_non_int_control_value_rejected(self, value):
         # without the check cx(0, 1, value=1.0) is accepted and run_circuit fails on a float slice index
         with pytest.raises(ValueError, match=f"^control value must be the int 0 or 1, got {value!r}$"):

@@ -184,6 +184,26 @@ class TestGameRun:
         assert "cannot write /no/such/dir/t.jsonl" in err
         assert out == ""
 
+    def test_stdout_error_is_not_blamed_on_the_trace_file(self, capsys, monkeypatch, tmp_path):
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        path = tmp_path / "t.jsonl"
+        monkeypatch.setattr("sys.stdout", BrokenStdout())
+        with pytest.raises(BrokenPipeError):
+            main(["game-run", "--trace-out", str(path)])
+        assert str(path) not in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_trace_device_fails_naming_the_path(self, capsys):
+        code, _, err = run_cli(capsys, "game-run", "--trace-out", "/dev/full")
+        assert code == 1
+        assert "cannot write /dev/full" in err
+
     def test_seed_flag_overrides_config_seed(self, capsys, tmp_path):
         config = tmp_path / "seeded.json"
         config.write_text(json.dumps({"seed": 9}))

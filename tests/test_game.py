@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NamedInt
 from qbraitenberg.brain import BRAIN_KINDS, MotorOutput, SensorInput, control_table, drive
 from qbraitenberg.game import (
     EpisodeStatus,
@@ -96,6 +97,7 @@ class TestConfig:
             {"max_ticks": 42.0},
             {"seed": 1.5},
             {"seed": None},
+            {"seed": NamedInt(0)},
             {"spawn_prob": True},
             {"spawn_prob": "0.15"},
         ],
@@ -385,7 +387,6 @@ class TestTraceFormat:
     def test_jsonl_key_order_and_values(self):
         record = TickTrace(
             tick=4,
-            before=RobotPose(4, 2, 0),
             after=RobotPose(5, 1, 0),
             sensors=SensorInput(0, 1),
             motors=MotorOutput(0, 1, 0),
@@ -510,4 +511,4 @@ class TestPoseAndObstacleTypes:
     @pytest.mark.parametrize("tick", [True, 1.0, -1])
     def test_tick_must_be_a_non_negative_int(self, tick):
         with pytest.raises(ValueError, match=rf"^tick must be an int >= 0, got {re.escape(repr(tick))}$"):
-            TickTrace(tick, RobotPose(), RobotPose(1), SensorInput(0, 0), MotorOutput(1, 1, 0), (), EpisodeStatus.RUNNING)
+            TickTrace(tick, RobotPose(1), SensorInput(0, 0), MotorOutput(1, 1, 0), (), EpisodeStatus.RUNNING)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import marginal_by_enumeration, permutation_matrix, random_circuit, random_state
+from conftest import NamedInt, marginal_by_enumeration, permutation_matrix, random_circuit, random_state
 from qbraitenberg.brain import build_robot_circuit
 from qbraitenberg.circuit import Circuit, CircuitOp, GateKind, ccx, ccxx, cx, h, x
 from qbraitenberg.qsim import (
@@ -81,6 +82,26 @@ class TestNewBasisState:
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
             new_basis_state(0, "")
+
+
+class TestIntRule:
+    @pytest.mark.parametrize(
+        "value", [True, 1.0, np.int64(2), NamedInt(2)], ids=["True", "1.0", "np.int64", "NamedInt"]
+    )
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda v: StateVector(v, np.eye(1, 2 ** int(v))), "n_qubits"),
+            (lambda v: GateMatrix(v, np.eye(2 ** int(v))), "k"),
+            (lambda v: new_basis_state(v, "0" * int(v)), "n_qubits"),
+            (lambda v: outcome_distribution(new_basis_state(3, "000"), [v]), "measured qubit"),
+        ],
+        ids=["StateVector", "GateMatrix", "new_basis_state", "outcome_distribution"],
+    )
+    def test_non_int_width_or_qubit_rejected_naming_field(self, build, field, value):
+        # each input is sized to pass every other check, so only the int rule can reject it
+        with pytest.raises(ValueError, match=rf"^{field} must be an int >= [01], got {re.escape(repr(value))}$"):
+            build(value)
 
 
 class TestApplyGate:
