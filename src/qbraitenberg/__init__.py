@@ -10,13 +10,11 @@ sampled check, not a proof.
 from .brain import (
     BEHAVIOR_LABELS,
     BRAIN_KINDS,
-    LAYOUT,
+    MEASURED,
     MotorOutput,
     NondeterministicOutcomeError,
-    RobotLayout,
     SensorInput,
     behavior_label,
-    brain_function,
     build_robot_circuit,
     classical_drive,
     control_table,

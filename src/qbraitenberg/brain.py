@@ -74,34 +74,18 @@ class MotorOutput:
         return (self.m1, self.m2, self.m3)
 
 
-@dataclass(frozen=True)
-class RobotLayout:
-    """Fixed wire assignment of the five-qubit control circuit."""
+#: The measured wires: left wheel q2, right wheel q3, flight q4.
+MEASURED = (2, 3, 4)
 
-    ancillas: tuple[int, int] = (0, 1)
-    wheels: tuple[int, int] = (2, 3)
-    flight: int = 4
-
-    @property
-    def measured(self) -> tuple[int, int, int]:
-        return (*self.wheels, self.flight)
-
-
-LAYOUT = RobotLayout()
-
-_TRUTH_TABLE: dict[tuple[int, int], tuple[int, int, int]] = {
-    (0, 0): (1, 1, 0),
-    (0, 1): (0, 1, 0),
-    (1, 0): (1, 0, 0),
-    (1, 1): (0, 0, 1),
+#: The paper's four rows: (s1, s2) -> (motor bits m1 m2 m3, behavior).
+_PAPER_ROWS: dict[tuple[int, int], tuple[tuple[int, int, int], str]] = {
+    (0, 0): ((1, 1, 0), "Moves forward"),
+    (0, 1): ((0, 1, 0), "Takes a left turn"),
+    (1, 0): ((1, 0, 0), "Takes a right turn"),
+    (1, 1): ((0, 0, 1), "Takes off from the ground"),
 }
 
-BEHAVIOR_LABELS: dict[tuple[int, int, int], str] = {
-    (1, 1, 0): "Moves forward",
-    (0, 1, 0): "Takes a left turn",
-    (1, 0, 0): "Takes a right turn",
-    (0, 0, 1): "Takes off from the ground",
-}
+BEHAVIOR_LABELS: dict[tuple[int, int, int], str] = dict(_PAPER_ROWS.values())
 
 
 def build_robot_circuit() -> Circuit:
@@ -131,7 +115,7 @@ def _circuit(lowered: bool) -> Circuit:
 def measure_distribution(sensors: SensorInput, lowered: bool = False) -> OutcomeDistribution:
     """Motor-qubit outcome distribution for one sensor input."""
     state = new_basis_state(5, f"00{sensors.s1}{sensors.s2}0")
-    return outcome_distribution(run_circuit(_circuit(lowered), state), LAYOUT.measured)
+    return outcome_distribution(run_circuit(_circuit(lowered), state), MEASURED)
 
 
 def drive(sensors: SensorInput, lowered: bool = False) -> MotorOutput:
@@ -152,7 +136,7 @@ def drive(sensors: SensorInput, lowered: bool = False) -> MotorOutput:
 
 def classical_drive(sensors: SensorInput) -> MotorOutput:
     """Direct table lookup of the vehicle behavior; oracle for the circuit."""
-    return MotorOutput(*_TRUTH_TABLE[(sensors.s1, sensors.s2)])
+    return MotorOutput(*_PAPER_ROWS[(sensors.s1, sensors.s2)][0])
 
 
 _BRAINS: dict[str, Callable[[SensorInput], MotorOutput]] = {
@@ -164,14 +148,6 @@ _BRAINS: dict[str, Callable[[SensorInput], MotorOutput]] = {
 BRAIN_KINDS = tuple(_BRAINS)
 
 
-def brain_function(kind: str = "quantum") -> Callable[[SensorInput], MotorOutput]:
-    """Resolve a brain kind name to its drive callable."""
-    try:
-        return _BRAINS[kind]
-    except KeyError:
-        raise ValueError(f"unknown brain kind {kind!r}; expected one of {BRAIN_KINDS}") from None
-
-
 @lru_cache(maxsize=None)
 def control_table(kind: str = "quantum") -> Mapping[SensorInput, MotorOutput]:
     """Tabulate the chosen brain over all four sensor inputs, once per process per kind.
@@ -179,7 +155,10 @@ def control_table(kind: str = "quantum") -> Mapping[SensorInput, MotorOutput]:
     The quantum kinds run the circuit once per input, determinism check
     included, so a broken synthesis pass fails on first use; callers share the table read-only.
     """
-    law = brain_function(kind)
+    try:
+        law = _BRAINS[kind]
+    except KeyError:
+        raise ValueError(f"unknown brain kind {kind!r}; expected one of {BRAIN_KINDS}") from None
     return MappingProxyType({sensors: law(sensors) for sensors in SENSOR_INPUTS})
 
 

@@ -61,6 +61,13 @@ _QASM_NAMES = {
 LOWERED_KINDS = frozenset(_QASM_NAMES)
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, plus the type name of an ``int`` subclass, whose repr is a bare number."""
+    if isinstance(value, int) and type(value) not in (int, bool):
+        return f"{value!r} ({type(value).__name__})"
+    return repr(value)
+
+
 def require_int(name: str, value: object, low: int | None = None) -> None:
     """The package's one int rule: raise ValueError unless ``type(value) is int`` and ``value >= low``.
 
@@ -69,7 +76,7 @@ def require_int(name: str, value: object, low: int | None = None) -> None:
     """
     if type(value) is not int or (low is not None and value < low):
         bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+        raise ValueError(f"{name} must be an int{bound}, got {_shown(value)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +92,7 @@ class ControlSpec:
     def __post_init__(self) -> None:
         require_int("control qubit", self.qubit, 0)
         if type(self.value) is not int or self.value not in (0, 1):
-            raise ValueError(f"control value must be the int 0 or 1, got {self.value!r}")
+            raise ValueError(f"control value must be the int 0 or 1, got {_shown(self.value)}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,12 +11,12 @@ from dataclasses import replace
 
 from .brain import (
     BRAIN_KINDS,
-    LAYOUT,
+    MEASURED,
     NondeterministicOutcomeError,
     SensorInput,
     behavior_label,
-    brain_function,
     build_robot_circuit,
+    control_table,
     measure_distribution,
 )
 from .circuit import GateKind, depth, export_qasm, lower
@@ -85,7 +85,7 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _cmd_circuit_export(args: argparse.Namespace) -> int:
-    text = export_qasm(lower(build_robot_circuit()), LAYOUT.measured)
+    text = export_qasm(lower(build_robot_circuit()), MEASURED)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -98,7 +98,7 @@ def _cmd_circuit_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_drive(args: argparse.Namespace) -> int:
-    motors = brain_function(args.brain.replace("-", "_"))(SensorInput(args.s1, args.s2))
+    motors = control_table(args.brain.replace("-", "_"))[SensorInput(args.s1, args.s2)]
     print(f"{motors.m1} {motors.m2} {motors.m3} {behavior_label(motors)}")
     return 0
 

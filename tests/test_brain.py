@@ -7,12 +7,11 @@ from qbraitenberg import brain as brain_module
 from qbraitenberg.brain import (
     BEHAVIOR_LABELS,
     BRAIN_KINDS,
-    LAYOUT,
+    MEASURED,
     MotorOutput,
     NondeterministicOutcomeError,
     SensorInput,
     behavior_label,
-    brain_function,
     build_robot_circuit,
     classical_drive,
     control_table,
@@ -48,10 +47,7 @@ class TestCircuitConstruction:
         assert ops[4].targets == (4,)
 
     def test_layout(self):
-        assert LAYOUT.ancillas == (0, 1)
-        assert LAYOUT.wheels == (2, 3)
-        assert LAYOUT.flight == 4
-        assert LAYOUT.measured == (2, 3, 4)
+        assert MEASURED == (2, 3, 4)
 
     @pytest.mark.parametrize(
         "bits_in,bits_out",
@@ -116,8 +112,6 @@ class TestControlTable:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown brain kind"):
             control_table("analog")
-        with pytest.raises(ValueError, match="unknown brain kind"):
-            brain_function("analog")
 
 
 class TestValueTypes:

@@ -62,14 +62,14 @@ class TestIrValidation:
         [
             (lambda: x(1.0), "target qubit", "1.0"),
             (lambda: cx(True, 2), "control qubit", "True"),
-            (lambda: cx(NamedInt(0), 2), "control qubit", "0"),
+            (lambda: cx(NamedInt(0), 2), "control qubit", "0 (NamedInt)"),
             (lambda: CircuitOp(GateKind.H, (), (np.int64(0),)), "target qubit", "np.int64(0)"),
             (lambda: Circuit(2.5, ()), "n_qubits", "2.5"),
             (lambda: Circuit(True, ()), "n_qubits", "True"),
-            (lambda: Circuit(NamedInt(2), ()), "n_qubits", "2"),
+            (lambda: Circuit(NamedInt(2), ()), "n_qubits", "2 (NamedInt)"),
             (lambda: export_qasm(Circuit(2, ()), (1.0,)), "measured qubit", "1.0"),
             (lambda: export_qasm(Circuit(2, ()), (False,)), "measured qubit", "False"),
-            (lambda: export_qasm(Circuit(2, ()), (NamedInt(1),)), "measured qubit", "1"),
+            (lambda: export_qasm(Circuit(2, ()), (NamedInt(1),)), "measured qubit", "1 (NamedInt)"),
         ],
     )
     def test_non_int_wires_rejected_naming_field_and_value(self, build, field, value):
@@ -77,10 +77,12 @@ class TestIrValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an int >= [01], got {re.escape(value)}$"):
             build()
 
-    @pytest.mark.parametrize("value", [1.0, True, NamedInt(1)])
-    def test_non_int_control_value_rejected(self, value):
+    @pytest.mark.parametrize(
+        "value,shown", [(1.0, "1.0"), (True, "True"), (NamedInt(1), "1 (NamedInt)")], ids=["1.0", "True", "NamedInt"]
+    )
+    def test_non_int_control_value_rejected(self, value, shown):
         # without the check cx(0, 1, value=1.0) is accepted and run_circuit fails on a float slice index
-        with pytest.raises(ValueError, match=f"^control value must be the int 0 or 1, got {value!r}$"):
+        with pytest.raises(ValueError, match=f"^control value must be the int 0 or 1, got {re.escape(shown)}$"):
             cx(0, 1, value=value)
 
     def test_unknown_gate_kind_is_unsupported_gate_error(self):

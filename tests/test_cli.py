@@ -1,17 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import depth_by_peeling
-from qbraitenberg import cli
-from qbraitenberg.brain import build_robot_circuit
-from qbraitenberg.circuit import lower
+from qbraitenberg import brain, cli
+from qbraitenberg.brain import build_robot_circuit, control_table
+from qbraitenberg.circuit import Circuit, h, lower
 from qbraitenberg.cli import main
 from qbraitenberg.game import EpisodeResult, EpisodeStatus, GameConfig, run_episode, trace_json_line
 
 GOLDEN = Path(__file__).parent / "golden" / "robot_lowered.qasm"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +131,18 @@ class TestDrive:
         with pytest.raises(SystemExit) as excinfo:
             main(["drive", "--s1", "7", "--s2", "0"])
         assert excinfo.value.code != 0
+
+    def test_nondeterministic_circuit_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(brain, "_circuit", lambda lowered: Circuit(5, (h(2),)))
+        control_table.cache_clear()  # drop the table the real circuit built
+        try:
+            code, out, err = run_cli(capsys, "drive", "--brain", "quantum", "--s1", "0", "--s2", "0")
+        finally:
+            control_table.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: input (0, 0) gave best outcome ")
+        assert err.endswith(" expected a delta\n")
 
 
 class TestGameRun:
@@ -244,3 +260,21 @@ class TestGameRun:
         code, out, _ = run_cli(capsys, "game-run", "--episodes", "1")
         assert code == 1
         assert "collisions=1" in out
+
+
+class TestEntryPoint:
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        # about 170 KB of episode lines, more than a pipe holds, so the child
+        # is still writing when the reader closes after one line
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"road_length": 5}))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbraitenberg", "game-run", "--episodes", "4000", "--config", str(config)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline().startswith(b"episode=0 ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err.decode() == ""  # no BrokenPipeError traceback

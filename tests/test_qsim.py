@@ -86,7 +86,9 @@ class TestNewBasisState:
 
 class TestIntRule:
     @pytest.mark.parametrize(
-        "value", [True, 1.0, np.int64(2), NamedInt(2)], ids=["True", "1.0", "np.int64", "NamedInt"]
+        "value,shown",
+        [(True, "True"), (1.0, "1.0"), (np.int64(2), "np.int64(2)"), (NamedInt(2), "2 (NamedInt)")],
+        ids=["True", "1.0", "np.int64", "NamedInt"],
     )
     @pytest.mark.parametrize(
         "build,field",
@@ -98,9 +100,9 @@ class TestIntRule:
         ],
         ids=["StateVector", "GateMatrix", "new_basis_state", "outcome_distribution"],
     )
-    def test_non_int_width_or_qubit_rejected_naming_field(self, build, field, value):
+    def test_non_int_width_or_qubit_rejected_naming_field(self, build, field, value, shown):
         # each input is sized to pass every other check, so only the int rule can reject it
-        with pytest.raises(ValueError, match=rf"^{field} must be an int >= [01], got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int >= [01], got {re.escape(shown)}$"):
             build(value)
 
 
