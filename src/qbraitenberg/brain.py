@@ -106,16 +106,11 @@ def build_robot_circuit() -> Circuit:
     return Circuit(5, ops)
 
 
-@lru_cache(maxsize=None)
-def _circuit(lowered: bool) -> Circuit:
-    circuit = build_robot_circuit()
-    return lower(circuit) if lowered else circuit
-
-
 def measure_distribution(sensors: SensorInput, lowered: bool = False) -> OutcomeDistribution:
-    """Motor-qubit outcome distribution for one sensor input."""
+    """Motor-qubit outcome distribution for one sensor input; builds the circuit on every call."""
+    circuit = lower(build_robot_circuit()) if lowered else build_robot_circuit()
     state = new_basis_state(5, f"00{sensors.s1}{sensors.s2}0")
-    return outcome_distribution(run_circuit(_circuit(lowered), state), MEASURED)
+    return outcome_distribution(run_circuit(circuit, state), MEASURED)
 
 
 def drive(sensors: SensorInput, lowered: bool = False) -> MotorOutput:

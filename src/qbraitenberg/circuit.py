@@ -79,6 +79,18 @@ def require_int(name: str, value: object, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an int{bound}, got {_shown(value)}")
 
 
+def require_qubits(name: str, qubits: tuple[int, ...] | list[int], n_qubits: int) -> tuple[int, ...]:
+    """The package's one wire-list rule: int wires (``require_int``), distinct, below ``n_qubits``."""
+    qubits = tuple(qubits)
+    for q in qubits:
+        require_int(name, q, 0)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{name}s must be distinct, got {qubits}")
+    if any(q >= n_qubits for q in qubits):
+        raise ValueError(f"{name}s {qubits} out of range for n_qubits={n_qubits}")
+    return qubits
+
+
 @dataclass(frozen=True, slots=True)
 class ControlSpec:
     """A control wire; the gate fires when the qubit reads |value>.
@@ -287,7 +299,7 @@ def export_qasm(circuit: Circuit, measured: tuple[int, ...] | list[int]) -> str:
     entry, in list order. Output is a deterministic function of the inputs,
     byte for byte. Raises UnsupportedGateError on non-lowered gates.
     """
-    measured = tuple(measured)
+    measured = require_qubits("measured qubit", measured, circuit.n_qubits)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.n_qubits}];"]
     if measured:
         lines.append(f"creg c[{len(measured)}];")
@@ -299,12 +311,6 @@ def export_qasm(circuit: Circuit, measured: tuple[int, ...] | list[int]) -> str:
             if c.value != 1:
                 raise UnsupportedGateError("cannot export anticontrolled ops; lower the circuit first")
         lines.append(f"{name} q[{'],q['.join(map(str, op.qubits))}];")
-    for q in measured:
-        require_int("measured qubit", q, 0)
-    if len(set(measured)) != len(measured):
-        raise ValueError(f"measured qubits must be distinct, got {measured}")
-    if any(q >= circuit.n_qubits for q in measured):
-        raise ValueError(f"measured qubits {measured} out of range for n_qubits={circuit.n_qubits}")
     for i, q in enumerate(measured):
         lines.append(f"measure q[{q}] -> c[{i}];")
     return "\n".join(lines) + "\n"

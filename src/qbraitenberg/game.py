@@ -169,7 +169,8 @@ class TickTrace:
     status: EpisodeStatus
 
     def __post_init__(self) -> None:
-        require_int("tick", self.tick, 0)
+        if not (type(self.tick) is int and self.tick >= 0):
+            require_int("tick", self.tick, 0)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, GateKind, UnsupportedGateError, require_int
+from .circuit import Circuit, CircuitOp, GateKind, UnsupportedGateError, require_int, require_qubits
 
 #: Tolerance for unitarity and normalization checks; double precision only
 #: ever has to absorb rounding here.
@@ -80,11 +80,10 @@ class GateMatrix:
 class OutcomeDistribution:
     """Born-rule probabilities over an ordered list of measured qubits.
 
-    Bitstring keys follow the measured_qubits order: the leftmost character
-    is the first listed qubit. Every outcome appears, including zeros.
+    Bitstring keys follow the measured order: the leftmost character is the
+    first listed qubit. Every outcome appears, including zeros.
     """
 
-    measured_qubits: tuple[int, ...]
     probs: dict[str, float]
 
     def __post_init__(self) -> None:
@@ -112,12 +111,8 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets: tuple[int, ...] | 
 
     targets[0] is the most significant qubit of the gate's own index space.
     """
-    targets = tuple(targets)
     n = state.n_qubits
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"repeated target qubit in {targets}")
-    if any(q < 0 or q >= n for q in targets):
-        raise ValueError(f"target qubits {targets} out of range for n_qubits={n}")
+    targets = require_qubits("target qubit", targets, n)
     if gate.k != len(targets):
         raise ValueError(f"gate acts on {gate.k} qubits but {len(targets)} targets given")
 
@@ -175,25 +170,15 @@ def outcome_distribution(state: StateVector, measured: tuple[int, ...] | list[in
 
     Unmeasured qubits are summed out; bitstring keys follow the given order.
     """
-    measured = tuple(measured)
     n = state.n_qubits
+    measured = require_qubits("measured qubit", measured, n)
     if not measured:
         raise ValueError("measured qubit list must not be empty")
-    for q in measured:
-        require_int("measured qubit", q, 0)
-    if len(set(measured)) != len(measured):
-        raise ValueError(f"repeated qubit in measured list {measured}")
-    if any(q >= n for q in measured):
-        raise ValueError(f"measured qubits {measured} out of range for n_qubits={n}")
 
     p = np.abs(state.amps.reshape((2,) * n)) ** 2
-    others = tuple(i for i in range(n) if i not in measured)
-    marg = p.sum(axis=others) if others else p
-    in_sorted = sorted(measured)
-    marg = np.transpose(marg, [in_sorted.index(q) for q in measured]).reshape(-1)
+    marg = np.einsum(p, range(n), measured).reshape(-1)
     k = len(measured)
-    probs = {format(i, f"0{k}b"): float(marg[i]) for i in range(2**k)}
-    return OutcomeDistribution(measured, probs)
+    return OutcomeDistribution({format(i, f"0{k}b"): float(marg[i]) for i in range(2**k)})
 
 
 def circuit_unitary(circuit: Circuit) -> GateMatrix:

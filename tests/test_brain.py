@@ -79,7 +79,7 @@ class TestDrive:
             assert drive(sensors, lowered=True) == expected
 
     def test_nondeterministic_circuit_raises(self, monkeypatch):
-        monkeypatch.setattr(brain_module, "_circuit", lambda lowered: Circuit(5, (h(2),)))
+        monkeypatch.setattr(brain_module, "build_robot_circuit", lambda: Circuit(5, (h(2),)))
         with pytest.raises(NondeterministicOutcomeError, match="delta"):
             drive(SensorInput(0, 0))
 

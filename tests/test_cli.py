@@ -133,7 +133,7 @@ class TestDrive:
         assert excinfo.value.code != 0
 
     def test_nondeterministic_circuit_is_an_error_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(brain, "_circuit", lambda lowered: Circuit(5, (h(2),)))
+        monkeypatch.setattr(brain, "build_robot_circuit", lambda: Circuit(5, (h(2),)))
         control_table.cache_clear()  # drop the table the real circuit built
         try:
             code, out, err = run_cli(capsys, "drive", "--brain", "quantum", "--s1", "0", "--s2", "0")

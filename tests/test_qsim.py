@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import NamedInt, marginal_by_enumeration, permutation_matrix, random_circuit, random_state
 from qbraitenberg.brain import build_robot_circuit
-from qbraitenberg.circuit import Circuit, CircuitOp, GateKind, ccx, ccxx, cx, h, x
+from qbraitenberg.circuit import Circuit, CircuitOp, GateKind, ccx, ccxx, cx, export_qasm, h, x
 from qbraitenberg.qsim import (
     GateMatrix,
     StateVector,
@@ -97,13 +97,32 @@ class TestIntRule:
             (lambda v: GateMatrix(v, np.eye(2 ** int(v))), "k"),
             (lambda v: new_basis_state(v, "0" * int(v)), "n_qubits"),
             (lambda v: outcome_distribution(new_basis_state(3, "000"), [v]), "measured qubit"),
+            (lambda v: apply_gate(new_basis_state(3, "000"), GateMatrix(1, np.eye(2)), (v,)), "target qubit"),
         ],
-        ids=["StateVector", "GateMatrix", "new_basis_state", "outcome_distribution"],
+        ids=["StateVector", "GateMatrix", "new_basis_state", "outcome_distribution", "apply_gate"],
     )
     def test_non_int_width_or_qubit_rejected_naming_field(self, build, field, value, shown):
         # each input is sized to pass every other check, so only the int rule can reject it
         with pytest.raises(ValueError, match=rf"^{field} must be an int >= [01], got {re.escape(shown)}$"):
             build(value)
+
+    @pytest.mark.parametrize(
+        "wires,message",
+        [((0, 0), "s must be distinct, got (0, 0)"), ((0, 3), "s (0, 3) out of range for n_qubits=3")],
+        ids=["repeated", "out_of_range"],
+    )
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda w: outcome_distribution(new_basis_state(3, "000"), w), "measured qubit"),
+            (lambda w: export_qasm(Circuit(3, ()), w), "measured qubit"),
+            (lambda w: apply_gate(new_basis_state(3, "000"), GateMatrix(2, np.eye(4)), w), "target qubit"),
+        ],
+        ids=["outcome_distribution", "export_qasm", "apply_gate"],
+    )
+    def test_one_wire_list_rule(self, build, field, wires, message):
+        with pytest.raises(ValueError, match=rf"^{field}{re.escape(message)}$"):
+            build(wires)
 
 
 class TestApplyGate:
@@ -123,7 +142,7 @@ class TestApplyGate:
 
     def test_repeated_target_rejected(self):
         gate = GateMatrix(2, np.eye(4))
-        with pytest.raises(ValueError, match="repeated"):
+        with pytest.raises(ValueError, match="distinct"):
             apply_gate(new_basis_state(2, "00"), gate, (0, 0))
 
     def test_out_of_range_rejected(self):
