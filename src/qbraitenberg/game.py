@@ -13,15 +13,22 @@ tick (``Obstacle.row_at``) rather than stored and moved.
 
 All randomness comes from one splitmix64 stream per episode with a fixed
 draw order, so a (seed, config) pair determines the run down to the trace
-bytes, whichever brain computes the motor commands.
+bytes, whichever brain computes the motor commands. splitmix64 is
+counter-based (its k-th output is a fixed mix of ``seed + k * gamma``), so the
+stream is drawn in blocks by one vectorised pass: the same values, in the same
+order and the same count, as drawing them one at a time. Robot poses are
+validated once and then reused from a bounded cache, since they are frozen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 from numbers import Real
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table
 from .circuit import require_int
@@ -30,6 +37,12 @@ from .circuit import require_int
 TRACK_LANES = {1: 1, 2: 4}
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+#: Draws per vectorised block: a default 100-tick episode draws about 205.
+_BLOCK = 256
+#: The k-th draw of a block mixes ``base + k * gamma``; uint64 arrays wrap silently.
+_BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 #: Least value of each bounded int field of ``GameConfig``.
 _CONFIG_LOWS = {"road_length": 1, "detection_window": 2, "min_gap": 0, "max_ticks": 1}
@@ -42,22 +55,46 @@ class EpisodeStatus(Enum):
     TIMED_OUT = "timed_out"
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix on a uint64 array; every operand is a uint64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 class SplitMix64:
-    """splitmix64 generator: tiny, portable, reproducible across platforms."""
+    """splitmix64 generator: tiny, portable, reproducible across platforms.
+
+    Outputs are computed ``_BLOCK`` at a time and read in order from one
+    stream position shared by ``next_u64`` and ``random``.
+    """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # the counter before the next block
+        self._pos = _BLOCK
+
+    def _refill(self) -> None:
+        z = self._u64 = _mix(np.uint64(self._state) + _BLOCK_STEPS)
+        self._floats = ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
+        self._pos = 0
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        i = self._pos
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        return int(self._u64[i])
 
     def random(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        """Uniform double in [0, 1) from the top 53 bits; the conversion is exact."""
+        i = self._pos
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._pos = i + 1
+        return self._floats[i]
 
 
 @dataclass(frozen=True)
@@ -123,6 +160,11 @@ class RobotPose:
             raise ValueError(f"left_lane must be 1, 2 or 3, got {self.left_lane}")
         if self.altitude not in (0, 1):
             raise ValueError(f"altitude must be 0 or 1, got {self.altitude}")
+
+
+#: Validated poses shared by ``act``; 1000 default-config seeds visit 314 distinct poses.
+_POSE_CACHE = 1024
+_pose = lru_cache(maxsize=_POSE_CACHE, typed=True)(RobotPose)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,7 +272,7 @@ def act(state: GameState, motors: MotorOutput) -> GameState:
             lane = max(pose.left_lane - 1, 1)  # right wheel only: veer left
         else:
             lane = pose.left_lane
-    state.robot = RobotPose(pose.row + 1, lane, altitude)
+    state.robot = _pose(pose.row + 1, lane, altitude)
     return state
 
 

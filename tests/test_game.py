@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NamedInt
+from qbraitenberg import game
 from qbraitenberg.brain import BRAIN_KINDS, MotorOutput, SensorInput, control_table, drive
 from qbraitenberg.game import (
     EpisodeStatus,
@@ -26,6 +27,18 @@ from qbraitenberg.game import (
 )
 
 QUIET = GameConfig(spawn_prob=0.0)
+MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix64(seed):
+    """Scalar splitmix64 as published: one state step and one mix per output."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
 
 
 def reference_trace_json_line(record):
@@ -139,6 +152,24 @@ class TestSplitMix64:
         value = SplitMix64(seed).random()
         assert 0.0 <= value < 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 7, 2**64 - 1])
+    def test_random_matches_scalar_reference_across_blocks(self, seed):
+        rng, ref = SplitMix64(seed), reference_splitmix64(seed)
+        assert [rng.random() for _ in range(1100)] == [(next(ref) >> 11) * 2.0**-53 for _ in range(1100)]
+
+    @pytest.mark.parametrize("first", ["next_u64", "random"])
+    def test_mixed_calls_read_one_stream_in_order(self, first):
+        rng, ref = SplitMix64(2**64 - 1), reference_splitmix64(2**64 - 1)
+        second = "random" if first == "next_u64" else "next_u64"
+        for i in range(1100):
+            method = first if i % 2 == 0 else second
+            expected = next(ref)
+            got = getattr(rng, method)()
+            if method == "random":
+                assert got == (expected >> 11) * 2.0**-53, i
+            else:
+                assert type(got) is int and got == expected, i
+
 
 class TestSense:
     def test_empty_road(self):
@@ -201,6 +232,18 @@ class TestAct:
         state = make_state(robot=RobotPose(3, 2, 1))
         act(state, MotorOutput(1, 1, 0))
         assert state.robot.altitude == 0
+
+    def test_pose_cache_stays_bounded(self):
+        maxsize = game._pose.cache_info().maxsize
+        result = run_episode(GameConfig(road_length=maxsize + 50, spawn_prob=0.0), "classical")
+        assert result.status is EpisodeStatus.WON
+        assert game._pose.cache_info().currsize <= maxsize
+        assert [r.after for r in result.trace] == [RobotPose(t + 1, 2, 0) for t in range(maxsize + 50)]
+        for row, lane, motors in [(0, 2, MotorOutput(1, 0, 0)), (maxsize, 1, MotorOutput(0, 0, 1))]:
+            state = make_state(robot=RobotPose(row, lane, 0))
+            act(state, motors)
+            assert type(state.robot) is RobotPose
+            assert state.robot == RobotPose(row + 1, lane + motors.m1, motors.m3)
 
 
 class TestSpawn:
