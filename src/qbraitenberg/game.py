@@ -18,6 +18,13 @@ counter-based (its k-th output is a fixed mix of ``seed + k * gamma``), so the
 stream is drawn in blocks by one vectorised pass: the same values, in the same
 order and the same count, as drawing them one at a time. Robot poses are
 validated once and then reused from a bounded cache, since they are frozen.
+
+Every tick builds one ``TickTrace``. It is a tuple subclass because a frozen
+dataclass pays one ``object.__setattr__`` per field on every construction;
+it keeps the tick check, stays immutable and compares by value (so it also
+equals a plain tuple of the same six values). The hot path compares
+``EpisodeStatus`` members through module constants, because each
+``EpisodeStatus.X`` lookup goes through the Enum metaclass.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from numbers import Real
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -53,6 +60,13 @@ class EpisodeStatus(Enum):
     WON = "won"
     COLLIDED = "collided"
     TIMED_OUT = "timed_out"
+
+
+# Bound by name, so reordering the members cannot swap them.
+_RUNNING = EpisodeStatus.RUNNING
+_WON = EpisodeStatus.WON
+_COLLIDED = EpisodeStatus.COLLIDED
+_TIMED_OUT = EpisodeStatus.TIMED_OUT
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -199,10 +213,7 @@ class Obstacle:
         return self.row0 + self.direction * tick
 
 
-@dataclass(frozen=True, slots=True)
-class TickTrace:
-    """Everything one executed tick did, for logging and replay comparison."""
-
+class _TickFields(NamedTuple):
     tick: int
     after: RobotPose
     sensors: SensorInput
@@ -210,9 +221,27 @@ class TickTrace:
     obstacles: tuple[Obstacle, ...]
     status: EpisodeStatus
 
-    def __post_init__(self) -> None:
-        if not (type(self.tick) is int and self.tick >= 0):
-            require_int("tick", self.tick, 0)
+
+class TickTrace(_TickFields):
+    """Everything one executed tick did, for logging and replay comparison.
+
+    A tuple subclass, built in one ``tuple.__new__`` call, because a frozen
+    dataclass costs six ``object.__setattr__`` calls per tick. Fields are
+    read-only, records compare and hash by value (a plain tuple of the same
+    six values compares equal), and ``_make``/``_replace`` run the tick check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tick: int, after: RobotPose, sensors: SensorInput, motors: MotorOutput,
+                obstacles: tuple[Obstacle, ...], status: EpisodeStatus) -> "TickTrace":
+        if not (type(tick) is int and tick >= 0):
+            require_int("tick", tick, 0)
+        return tuple.__new__(cls, (tick, after, sensors, motors, obstacles, status))
+
+    @classmethod
+    def _make(cls, iterable) -> "TickTrace":
+        return cls(*iterable)
 
 
 @dataclass
@@ -229,7 +258,7 @@ class GameState:
     obstacles: list[Obstacle]
     rng: SplitMix64
     tick: int = 0
-    status: EpisodeStatus = EpisodeStatus.RUNNING
+    status: EpisodeStatus = _RUNNING
     collision_tick: int | None = None
     trace: list[TickTrace] = field(default_factory=list)
 
@@ -305,7 +334,7 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     Obstacles move by advancing ``state.tick``: none is rebuilt, and the
     spawn pass places new ones at the advanced tick.
     """
-    if state.status is not EpisodeStatus.RUNNING:
+    if state.status is not _RUNNING:
         raise RuntimeError(f"cannot step a {state.status.value} episode")
     cfg = state.config
 
@@ -322,7 +351,7 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
         for o in state.obstacles:
             offset = o.row0 + o.direction * t - robot.row
             if (offset == 0 or offset - o.direction + 1 > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1:
-                state.status = EpisodeStatus.COLLIDED
+                state.status = _COLLIDED
                 state.collision_tick = tick
                 break
 
@@ -330,10 +359,10 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     state.obstacles = [o for o in state.obstacles if o.row0 + o.direction * t >= behind]
     spawn_obstacles(state)
 
-    if state.status is EpisodeStatus.RUNNING and robot.row >= cfg.road_length:
-        state.status = EpisodeStatus.WON
-    if state.status is EpisodeStatus.RUNNING and t >= cfg.max_ticks:
-        state.status = EpisodeStatus.TIMED_OUT
+    if state.status is _RUNNING and robot.row >= cfg.road_length:
+        state.status = _WON
+    if state.status is _RUNNING and t >= cfg.max_ticks:
+        state.status = _TIMED_OUT
 
     state.trace.append(TickTrace(tick, robot, sensors, motors, tuple(state.obstacles), state.status))
     return state
@@ -348,7 +377,7 @@ def run_episode(config: GameConfig, brain_kind: str = "quantum") -> EpisodeResul
     """
     table = control_table(brain_kind)
     state = new_game(config)
-    while state.status is EpisodeStatus.RUNNING:
+    while state.status is _RUNNING:
         step(state, table.__getitem__)
     return EpisodeResult(state.status, state.tick, state.collision_tick, tuple(state.trace))
 
@@ -370,5 +399,5 @@ def trace_json_line(record: TickTrace) -> str:
     return (
         f'{{"tick":{record.tick},"row":{after.row},"left_lane":{after.left_lane},"altitude":{after.altitude},'
         f'"s1":{s.s1},"s2":{s.s2},"m1":{m.m1},"m2":{m.m2},"m3":{m.m3},'
-        f'"obstacles":[{obstacles}],"status":"{record.status.value}"}}'
+        f'"obstacles":[{obstacles}],"status":"{record.status._value_}"}}'
     )

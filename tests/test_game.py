@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -27,6 +28,9 @@ from qbraitenberg.game import (
 )
 
 QUIET = GameConfig(spawn_prob=0.0)
+TRACE_RECORD = TickTrace(
+    4, RobotPose(5, 1, 0), SensorInput(0, 1), MotorOutput(0, 1, 0), (Obstacle(2, 12, -1),), EpisodeStatus.RUNNING
+)
 MASK64 = (1 << 64) - 1
 
 
@@ -553,5 +557,37 @@ class TestPoseAndObstacleTypes:
 
     @pytest.mark.parametrize("tick", [True, 1.0, -1])
     def test_tick_must_be_a_non_negative_int(self, tick):
-        with pytest.raises(ValueError, match=rf"^tick must be an int >= 0, got {re.escape(repr(tick))}$"):
+        message = rf"^tick must be an int >= 0, got {re.escape(repr(tick))}$"
+        with pytest.raises(ValueError, match=message):
             TickTrace(tick, RobotPose(1), SensorInput(0, 0), MotorOutput(1, 1, 0), (), EpisodeStatus.RUNNING)
+        with pytest.raises(ValueError, match=message):
+            TickTrace(
+                tick=tick, after=RobotPose(1), sensors=SensorInput(0, 0), motors=MotorOutput(1, 1, 0),
+                obstacles=(), status=EpisodeStatus.RUNNING,
+            )
+        with pytest.raises(ValueError, match=message):
+            TRACE_RECORD._replace(tick=tick)
+
+    @pytest.mark.parametrize(
+        "value,field",
+        [(TRACE_RECORD, f) for f in TickTrace._fields]
+        + [(RobotPose(), f.name) for f in dataclasses.fields(RobotPose)]
+        + [(Obstacle(1, 0, 1), f.name) for f in dataclasses.fields(Obstacle)],
+    )
+    def test_per_tick_values_are_immutable(self, value, field):
+        # FrozenInstanceError subclasses AttributeError; a tuple's read-only fields raise it directly
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    def test_tick_record_compares_by_value(self):
+        same = TickTrace(*TRACE_RECORD)
+        assert same == TRACE_RECORD and hash(same) == hash(TRACE_RECORD)
+        assert TRACE_RECORD == tuple(TRACE_RECORD)
+        assert TRACE_RECORD._replace(tick=3) == (3, *TRACE_RECORD[1:])
+        assert type(TRACE_RECORD._replace(tick=3)) is TickTrace
+
+
+@pytest.mark.parametrize("member", list(EpisodeStatus))
+def test_status_constants_are_bound_by_name(member):
+    # a swapped binding would otherwise show only as a wrong status inside the sha256 pins
+    assert getattr(game, f"_{member.name}") is member
