@@ -11,6 +11,7 @@ from .brain import (
     BEHAVIOR_LABELS,
     BRAIN_KINDS,
     MEASURED,
+    SENSOR_INPUTS,
     MotorOutput,
     NondeterministicOutcomeError,
     SensorInput,

@@ -47,8 +47,7 @@ class SensorInput:
             raise ValueError(f"sensor values must be bits, got ({self.s1}, {self.s2})")
 
 
-#: The four sensor inputs in (s1, s2) binary order; ``control_table`` is keyed
-#: by these very objects and ``game.sense`` returns one of them.
+#: The four sensor inputs in brain-row order: ``(s1, s2)`` is row ``2*s1 + s2``.
 SENSOR_INPUTS = tuple(SensorInput(a, b) for a in (0, 1) for b in (0, 1))
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from numbers import Real
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -276,8 +276,8 @@ def new_game(config: GameConfig) -> GameState:
     return GameState(config, RobotPose(), [], SplitMix64(config.seed))
 
 
-def sense(state: GameState) -> SensorInput:
-    """OR of each track's presence within the forward detection window, as one of ``SENSOR_INPUTS``."""
+def sense(state: GameState) -> int:
+    """OR of each track's presence within the forward detection window, as the row index ``2*s1 + s2``."""
     lo = state.robot.row + 1
     hi = state.robot.row + state.config.detection_window
     t = state.tick
@@ -285,7 +285,7 @@ def sense(state: GameState) -> SensorInput:
     for o in state.obstacles:
         if lo <= o.row0 + o.direction * t <= hi:
             hit[o.track - 1] = 1
-    return SENSOR_INPUTS[2 * hit[0] + hit[1]]
+    return 2 * hit[0] + hit[1]
 
 
 def act(state: GameState, motors: MotorOutput) -> GameState:
@@ -327,20 +327,21 @@ def spawn_obstacles(state: GameState) -> GameState:
     return state
 
 
-def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameState:
+def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:
     """Advance one tick in fixed order: sense, drive, act, move obstacles,
     resolve collisions, despawn/spawn, then check finish line and tick budget.
 
-    Obstacles move by advancing ``state.tick``: none is rebuilt, and the
-    spawn pass places new ones at the advanced tick.
+    The brain ``rows`` is four ``MotorOutput``s in ``SENSOR_INPUTS`` order; the
+    motors are ``rows[sense(state)]``. Obstacles move by advancing ``state.tick``:
+    none is rebuilt, and the spawn pass places new ones at the advanced tick.
     """
     if state.status is not _RUNNING:
         raise RuntimeError(f"cannot step a {state.status.value} episode")
     cfg = state.config
 
     tick = state.tick
-    sensors = sense(state)
-    motors = brain(sensors)
+    i = sense(state)
+    motors = rows[i]
     act(state, motors)
     robot = state.robot
     t = state.tick = tick + 1
@@ -364,7 +365,7 @@ def step(state: GameState, brain: Callable[[SensorInput], MotorOutput]) -> GameS
     if state.status is _RUNNING and t >= cfg.max_ticks:
         state.status = _TIMED_OUT
 
-    state.trace.append(TickTrace(tick, robot, sensors, motors, tuple(state.obstacles), state.status))
+    state.trace.append(TickTrace(tick, robot, SENSOR_INPUTS[i], motors, tuple(state.obstacles), state.status))
     return state
 
 
@@ -376,9 +377,10 @@ def run_episode(config: GameConfig, brain_kind: str = "quantum") -> EpisodeResul
     before the first tick of the first episode.
     """
     table = control_table(brain_kind)
+    rows = tuple([table[s] for s in SENSOR_INPUTS])
     state = new_game(config)
     while state.status is _RUNNING:
-        step(state, table.__getitem__)
+        step(state, rows)
     return EpisodeResult(state.status, state.tick, state.collision_tick, tuple(state.trace))
 
 

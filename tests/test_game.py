@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import NamedInt
 from qbraitenberg import game
-from qbraitenberg.brain import BRAIN_KINDS, MotorOutput, SensorInput, control_table, drive
+from qbraitenberg.brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table
 from qbraitenberg.game import (
     EpisodeStatus,
     GameConfig,
@@ -32,6 +32,10 @@ TRACE_RECORD = TickTrace(
     4, RobotPose(5, 1, 0), SensorInput(0, 1), MotorOutput(0, 1, 0), (Obstacle(2, 12, -1),), EpisodeStatus.RUNNING
 )
 MASK64 = (1 << 64) - 1
+#: The paper's brain as ``step`` takes it: four rows in ``SENSOR_INPUTS`` order.
+PAPER_ROWS = tuple(control_table()[s] for s in SENSOR_INPUTS)
+#: One road per sensor input, in row order: clear, track 2, track 1, both tracks lit.
+FOUR_ROADS = ((), (Obstacle(2, 2, -1),), (Obstacle(1, 2, -1),), (Obstacle(1, 2, -1), Obstacle(2, 3, 1)))
 
 
 def reference_splitmix64(seed):
@@ -177,30 +181,29 @@ class TestSplitMix64:
 
 class TestSense:
     def test_empty_road(self):
-        assert sense(make_state()) == SensorInput(0, 0)
+        assert SENSOR_INPUTS[sense(make_state())] == SensorInput(0, 0)
 
     def test_track1_obstacle_in_window(self):
         state = make_state(obstacles=[Obstacle(1, 2, -1)])
-        assert sense(state) == SensorInput(1, 0)
+        assert SENSOR_INPUTS[sense(state)] == SensorInput(1, 0)
 
     def test_both_tracks_at_offset_one(self):
         state = make_state(obstacles=[Obstacle(1, 1, -1), Obstacle(2, 1, 1)])
-        assert sense(state) == SensorInput(1, 1)
+        assert SENSOR_INPUTS[sense(state)] == SensorInput(1, 1)
 
     def test_window_bounds(self):
         # window is [row+1, row+D]; same-row and beyond-window obstacles are invisible
         state = make_state(obstacles=[Obstacle(1, 0, -1), Obstacle(2, 4, -1)])
-        assert sense(state) == SensorInput(0, 0)
+        assert SENSOR_INPUTS[sense(state)] == SensorInput(0, 0)
         state = make_state(obstacles=[Obstacle(2, 3, -1)])
-        assert sense(state) == SensorInput(0, 1)
+        assert SENSOR_INPUTS[sense(state)] == SensorInput(0, 1)
 
-
-    @pytest.mark.parametrize("kind", BRAIN_KINDS)
-    def test_returns_the_objects_the_control_table_is_keyed_by(self, kind):
-        roads = ((), (Obstacle(1, 2, -1),), (Obstacle(2, 2, -1),), (Obstacle(1, 2, -1), Obstacle(2, 3, 1)))
-        sensed = [sense(make_state(obstacles=road)) for road in roads]
-        assert sensed == [SensorInput(0, 0), SensorInput(1, 0), SensorInput(0, 1), SensorInput(1, 1)]
-        assert {id(s) for s in sensed} == {id(key) for key in control_table(kind)}
+    def test_four_roads_give_the_row_indices_in_order(self):
+        sensed = [sense(make_state(obstacles=road)) for road in FOUR_ROADS]
+        assert sensed == [0, 1, 2, 3]
+        assert [SENSOR_INPUTS[i] for i in sensed] == [
+            SensorInput(0, 0), SensorInput(0, 1), SensorInput(1, 0), SensorInput(1, 1),
+        ]
 
 
 class TestAct:
@@ -305,7 +308,7 @@ class TestSpawn:
 class TestStep:
     def test_empty_road_advances_quietly(self):
         state = make_state(robot=RobotPose(5, 2, 0))
-        step(state, drive)
+        step(state, PAPER_ROWS)
         assert state.robot.row == 6
         assert state.status is EpisodeStatus.RUNNING
         record = state.trace[-1]
@@ -316,7 +319,7 @@ class TestStep:
         # hand-simulated: sense at offset 2, veer right, obstacle reaches the
         # robot's row on lane 1 while the robot now covers lanes 2-3
         state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
-        step(state, drive)
+        step(state, PAPER_ROWS)
         assert state.trace[-1].sensors == SensorInput(1, 0)
         assert state.trace[-1].motors == MotorOutput(1, 0, 0)
         assert state.robot == RobotPose(1, 2, 0)
@@ -326,7 +329,7 @@ class TestStep:
     def test_double_threat_is_overflown(self):
         state = make_state(robot=RobotPose(0, 2, 0),
                            obstacles=[Obstacle(1, 2, -1), Obstacle(2, 2, -1)])
-        step(state, drive)
+        step(state, PAPER_ROWS)
         assert state.trace[-1].motors == MotorOutput(0, 0, 1)
         assert state.robot == RobotPose(1, 2, 1)
         assert all(o.row_at(state.tick) == 1 for o in state.obstacles)
@@ -335,7 +338,7 @@ class TestStep:
     def test_grounded_robot_collides_without_evasion(self):
         # a brain that ignores its sensors drives straight into the obstacle
         state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
-        step(state, brain=lambda sensors: MotorOutput(1, 1, 0))
+        step(state, (MotorOutput(1, 1, 0),) * 4)
         assert state.status is EpisodeStatus.COLLIDED
         assert state.collision_tick == 0
 
@@ -345,30 +348,39 @@ class TestStep:
         # from +1 to -1 on the tick (offset - 1) / 2
         state = make_state(robot=RobotPose(0, 3, 0), obstacles=[Obstacle(2, offset, -1)])
         while state.status is EpisodeStatus.RUNNING and state.tick <= offset:
-            step(state, lambda sensors: MotorOutput(1, 1, 0))
+            step(state, (MotorOutput(1, 1, 0),) * 4)
         assert state.status is EpisodeStatus.COLLIDED
         assert state.collision_tick == (offset - 1) // 2
 
     def test_flying_robot_is_safe_at_same_row(self):
         state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
-        step(state, brain=lambda sensors: MotorOutput(0, 0, 1))
+        step(state, (MotorOutput(0, 0, 1),) * 4)
         assert state.status is EpisodeStatus.RUNNING
 
     def test_despawn_behind_robot(self):
         state = make_state(robot=RobotPose(10, 2, 0), obstacles=[Obstacle(1, 5, -1)])
-        step(state, drive)
+        step(state, PAPER_ROWS)
         assert state.obstacles == []
 
     def test_win_at_finish_line(self):
         state = make_state(GameConfig(road_length=5, spawn_prob=0.0), robot=RobotPose(4, 2, 0))
-        step(state, drive)
+        step(state, PAPER_ROWS)
         assert state.status is EpisodeStatus.WON
+
+    def test_each_road_drives_its_own_row(self):
+        # four distinct rows with four distinct moves, so a swapped row index cannot pass
+        rows = (MotorOutput(0, 1, 0), MotorOutput(0, 0, 1), MotorOutput(1, 1, 0), MotorOutput(1, 0, 0))
+        moved = (RobotPose(1, 1, 0), RobotPose(1, 2, 1), RobotPose(1, 2, 0), RobotPose(1, 3, 0))
+        for i, road in enumerate(FOUR_ROADS):
+            state = step(make_state(obstacles=road), rows)
+            record = state.trace[-1]
+            assert (record.sensors, record.motors, state.robot) == (SENSOR_INPUTS[i], rows[i], moved[i]), i
 
     def test_step_after_finish_rejected(self):
         state = make_state(GameConfig(road_length=1, spawn_prob=0.0))
-        step(state, drive)
+        step(state, PAPER_ROWS)
         with pytest.raises(RuntimeError, match="won"):
-            step(state, drive)
+            step(state, PAPER_ROWS)
 
 
 class TestRunEpisode:
@@ -384,6 +396,16 @@ class TestRunEpisode:
         result = run_episode(GameConfig(spawn_prob=0.0, max_ticks=5))
         assert result.status is EpisodeStatus.TIMED_OUT
         assert result.ticks_elapsed == 5
+
+    def test_reads_a_plain_dict_table_by_equality(self, monkeypatch):
+        # benchmarks/tests swaps in a blind table keyed by fresh SensorInputs through game.control_table
+        forward = MotorOutput(1, 1, 0)
+        table = {SensorInput(a, b): forward for a in (0, 1) for b in (0, 1)}
+        monkeypatch.setattr(game, "control_table", lambda kind="quantum": table)
+        busy = run_episode(GameConfig(seed=0)).trace
+        assert any(r.sensors != SensorInput(0, 0) for r in busy)
+        assert all(r.motors == forward for r in busy)
+        assert run_episode(QUIET).status is EpisodeStatus.WON
 
     def test_unknown_brain_kind(self):
         with pytest.raises(ValueError, match="brain kind"):
@@ -458,7 +480,7 @@ class TestTraceFormat:
         # the paper brain never collides; a blind brain veering onto an obstacle track covers "collided" records
         blind = new_game(config)
         while blind.status is EpisodeStatus.RUNNING:
-            step(blind, lambda sensors: veer)
+            step(blind, (veer,) * 4)
         for record in run_episode(config, "classical").trace + tuple(blind.trace):
             assert trace_json_line(record) == reference_trace_json_line(record)
 
@@ -482,7 +504,7 @@ class TestTraceFormat:
                 for motors in blind_brains:
                     state = new_game(config)
                     while state.status is EpisodeStatus.RUNNING:
-                        step(state, lambda sensors: motors)
+                        step(state, (motors,) * 4)
                     runs.append((state.status, state.tick, state.collision_tick, state.trace))
                 for status, ticks, collision_tick, trace in runs:
                     collided += status is EpisodeStatus.COLLIDED
@@ -496,7 +518,7 @@ class TestTraceFormat:
         # each snapshot is the previous one's surviving objects, then those spawned on that tick
         state = new_game(GameConfig(spawn_prob=1.0, seed=5, road_length=40))
         while state.status is EpisodeStatus.RUNNING:
-            step(state, drive)
+            step(state, PAPER_ROWS)
         spawned = carried = 0
         for prev, record in zip(state.trace, state.trace[1:]):
             t = record.tick + 1
