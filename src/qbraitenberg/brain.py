@@ -40,11 +40,8 @@ class SensorInput:
     s2: int
 
     def __post_init__(self) -> None:
-        if not (int is type(self.s1) is type(self.s2)):
-            for name in ("s1", "s2"):
-                require_int(name, getattr(self, name))
-        if self.s1 not in (0, 1) or self.s2 not in (0, 1):
-            raise ValueError(f"sensor values must be bits, got ({self.s1}, {self.s2})")
+        require_int("s1", self.s1, among=(0, 1))
+        require_int("s2", self.s2, among=(0, 1))
 
 
 #: The four sensor inputs in brain-row order: ``(s1, s2)`` is row ``2*s1 + s2``.
@@ -60,11 +57,9 @@ class MotorOutput:
     m3: int
 
     def __post_init__(self) -> None:
-        if not (int is type(self.m1) is type(self.m2) is type(self.m3)):
-            for name in ("m1", "m2", "m3"):
-                require_int(name, getattr(self, name))
-        if any(m not in (0, 1) for m in (self.m1, self.m2, self.m3)):
-            raise ValueError(f"motor values must be bits, got ({self.m1}, {self.m2}, {self.m3})")
+        require_int("m1", self.m1, among=(0, 1))
+        require_int("m2", self.m2, among=(0, 1))
+        require_int("m3", self.m3, among=(0, 1))
         if self.m3 == 1 and (self.m1 or self.m2):
             raise ValueError("flight motor excludes wheel motors")
 

@@ -68,15 +68,19 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
-def require_int(name: str, value: object, low: int | None = None) -> None:
-    """The package's one int rule: raise ValueError unless ``type(value) is int`` and ``value >= low``.
+def require_int(name: str, value: object, low: int | None = None, among: tuple[int, ...] = ()) -> None:
+    """The package's one int rule: raise ValueError unless ``type(value) is int``,
+    ``value >= low`` and, when ``among`` is given, ``value in among``.
 
-    Bools, numpy integers and other ``int`` subclasses fail. Per-tick value
-    types test ``int is type(a) is type(b)`` inline and call this only to raise.
+    Bools, numpy integers and other ``int`` subclasses fail; the type is tested
+    first, so ``True`` fails even where ``among`` holds 1. Only ``TickTrace``,
+    built every tick, tests its ``tick`` inline and calls this only to raise.
     """
     if type(value) is not int or (low is not None and value < low):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an int{bound}, got {_shown(value)}")
+    if among and value not in among:
+        raise ValueError(f"{name} must be one of {', '.join(map(str, among))}, got {value}")
 
 
 def require_qubits(name: str, qubits: tuple[int, ...] | list[int], n_qubits: int) -> tuple[int, ...]:

@@ -79,8 +79,8 @@ def _mix(z: np.ndarray) -> np.ndarray:
 class SplitMix64:
     """splitmix64 generator: tiny, portable, reproducible across platforms.
 
-    Outputs are computed ``_BLOCK`` at a time and read in order from one
-    stream position shared by ``next_u64`` and ``random``.
+    Outputs are computed ``_BLOCK`` at a time; ``random`` reads them in order,
+    as doubles built from each output's top 53 bits.
     """
 
     def __init__(self, seed: int):
@@ -88,18 +88,10 @@ class SplitMix64:
         self._pos = _BLOCK
 
     def _refill(self) -> None:
-        z = self._u64 = _mix(np.uint64(self._state) + _BLOCK_STEPS)
+        z = _mix(np.uint64(self._state) + _BLOCK_STEPS)
         self._floats = ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
         self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
         self._pos = 0
-
-    def next_u64(self) -> int:
-        i = self._pos
-        if i == _BLOCK:
-            self._refill()
-            i = 0
-        self._pos = i + 1
-        return int(self._u64[i])
 
     def random(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits; the conversion is exact."""
@@ -165,15 +157,11 @@ class RobotPose:
     altitude: int = 0
 
     def __post_init__(self) -> None:
-        if not (int is type(self.row) is type(self.left_lane) is type(self.altitude)):
-            for name in ("row", "left_lane", "altitude"):
-                require_int(name, getattr(self, name))
+        require_int("row", self.row)
         if self.row < 0:
             raise ValueError(f"row must be >= 0, got {self.row}")
-        if self.left_lane not in (1, 2, 3):
-            raise ValueError(f"left_lane must be 1, 2 or 3, got {self.left_lane}")
-        if self.altitude not in (0, 1):
-            raise ValueError(f"altitude must be 0 or 1, got {self.altitude}")
+        require_int("left_lane", self.left_lane, among=(1, 2, 3))
+        require_int("altitude", self.altitude, among=(0, 1))
 
 
 #: Validated poses shared by ``act``; 1000 default-config seeds visit 314 distinct poses.
@@ -196,13 +184,9 @@ class Obstacle:
     direction: int
 
     def __post_init__(self) -> None:
-        if not (int is type(self.track) is type(self.row0) is type(self.direction)):
-            for name in ("track", "row0", "direction"):
-                require_int(name, getattr(self, name))
-        if self.track not in (1, 2):
-            raise ValueError(f"track must be 1 or 2, got {self.track}")
-        if self.direction not in (-1, 1):
-            raise ValueError(f"direction must be -1 or +1, got {self.direction}")
+        require_int("track", self.track, among=(1, 2))
+        require_int("row0", self.row0)
+        require_int("direction", self.direction, among=(-1, 1))
 
     def row_at(self, tick: int) -> int:
         """The obstacle's row while ``state.tick == tick``, i.e. before step ``tick`` runs.
@@ -337,6 +321,8 @@ def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:
     """
     if state.status is not _RUNNING:
         raise RuntimeError(f"cannot step a {state.status.value} episode")
+    if len(rows) != 4:
+        raise ValueError(f"rows must be 4 MotorOutputs in SENSOR_INPUTS order, got {len(rows)}")
     cfg = state.config
 
     tick = state.tick

@@ -116,11 +116,11 @@ class TestControlTable:
 
 class TestValueTypes:
     def test_sensor_bits_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^s1 must be one of 0, 1, got 2$"):
             SensorInput(2, 0)
 
     def test_motor_bits_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m2 must be one of 0, 1, got 2$"):
             MotorOutput(0, 2, 0)
 
     @pytest.mark.parametrize(
