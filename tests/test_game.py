@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NamedInt
@@ -65,6 +65,83 @@ def reference_trace_json_line(record):
         "status": record.status.value,
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+#: The four behaviours a brain row can take, by letter: forward, left turn, right turn, take-off.
+BEHAVIOURS = {"F": MotorOutput(1, 1, 0), "L": MotorOutput(0, 1, 0), "R": MotorOutput(1, 0, 0), "T": MotorOutput(0, 0, 1)}
+
+
+def brain(letters):
+    """Four rows in ``SENSOR_INPUTS`` order, one behaviour letter each: the paper's is ``"FLRT"``."""
+    return tuple(BEHAVIOURS[c] for c in letters)
+
+
+def reference_episode(config, start_lane, rows):
+    """The game as README states its rules, played literally: (status, ticks, collision tick, trace lines).
+
+    Written from the rules, not from ``step``: each obstacle is a mutable
+    ``[track, row, dir]`` moved one row per tick, and each coin is drawn from
+    the scalar splitmix64.
+    """
+    draws = reference_splitmix64(config.seed)
+    row, lane, altitude = 0, start_lane, 0
+    obstacles, status, collision_tick, lines = [], "running", None, []
+    tick = 0
+    while status == "running":
+        # Sense: a track lights when one of its obstacles is 1..detection_window rows ahead.
+        ahead = range(row + 1, row + config.detection_window + 1)
+        s1 = int(any(track == 1 and r in ahead for track, r, _ in obstacles))
+        s2 = int(any(track == 2 and r in ahead for track, r, _ in obstacles))
+        motors = rows[2 * s1 + s2]
+        # Act: the propeller lifts the robot in its lane; otherwise it lands, and one wheel alone veers.
+        ahead_before = {id(o): o[1] - row for o in obstacles}
+        altitude = motors.m3
+        if motors.m1 and not motors.m2 and lane < 3:
+            lane += 1  # left wheel alone: one lane right
+        if motors.m2 and not motors.m1 and lane > 1:
+            lane -= 1  # right wheel alone: one lane left
+        row += 1
+        # Every obstacle moves one row along its direction.
+        for o in obstacles:
+            o[1] += o[2]
+        # A grounded robot hits an obstacle in one of its two lanes that shares its row,
+        # or that was ahead of it before the tick and is behind it after.
+        for o in obstacles:
+            obstacle_lane = 1 if o[0] == 1 else 4
+            offset = o[1] - row
+            if altitude == 0 and obstacle_lane in (lane, lane + 1) and (offset == 0 or ahead_before[id(o)] > 0 > offset):
+                status, collision_tick = "collided", tick
+                break
+        # Obstacles more than two rows behind the robot leave the road.
+        obstacles = [o for o in obstacles if o[1] >= row - 2]
+        # Spawn, track 1 then track 2: a coin below spawn_prob, then room within min_gap, then a direction coin.
+        spawn_row = row + config.spawn_horizon
+        for track in (1, 2):
+            if (next(draws) >> 11) * 2.0**-53 >= config.spawn_prob:
+                continue
+            if any(t == track and abs(r - spawn_row) <= config.min_gap for t, r, _ in obstacles):
+                continue
+            direction = -1 if (next(draws) >> 11) * 2.0**-53 < 0.5 else 1
+            obstacles.append([track, spawn_row, direction])
+        if status == "running" and row >= config.road_length:
+            status = "won"
+        if status == "running" and tick + 1 >= config.max_ticks:
+            status = "timed_out"
+        # The record of ``tick`` holds each obstacle's row after the move, which is ``row_at(tick + 1)``.
+        snapshot = tuple(Obstacle(track, r - d * (tick + 1), d) for track, r, d in obstacles)
+        record = TickTrace(tick, RobotPose(row, lane, altitude), SensorInput(s1, s2), motors, snapshot,
+                           EpisodeStatus(status))
+        lines.append(reference_trace_json_line(record))
+        tick += 1
+    return status, tick, collision_tick, lines
+
+
+def played_episode(config, start_lane, rows):
+    """The same four results from ``step``, for a robot that starts in ``start_lane``."""
+    state = make_state(config, RobotPose(0, start_lane, 0))
+    while state.status is EpisodeStatus.RUNNING:
+        step(state, rows)
+    return state.status.value, state.tick, state.collision_tick, [trace_json_line(r) for r in state.trace]
 
 
 @st.composite
@@ -529,6 +606,28 @@ class TestTraceFormat:
         assert [r.status for r in result.trace] == [
             EpisodeStatus.RUNNING, EpisodeStatus.RUNNING, EpisodeStatus.WON,
         ]
+
+
+class TestReferenceGame:
+    # Flight followed by flight (TTTT, FTTT) or by a turn (TLRT turns right from lane 2 and left from lane 1
+    # after flying over an empty road) is a case the sha256 pins' four brains never reach.
+    @settings(max_examples=60, deadline=None)
+    @given(config=game_configs(), start_lane=st.integers(1, 3), letters=st.text("FLRT", min_size=4, max_size=4))
+    @example(config=GameConfig(road_length=20), start_lane=2, letters="TTTT")
+    @example(config=GameConfig(road_length=20, spawn_horizon=9), start_lane=2, letters="FTTT")
+    @example(config=GameConfig(), start_lane=2, letters="FLRT")
+    @example(config=GameConfig(road_length=20, seed=1), start_lane=2, letters="TLRT")
+    @example(config=GameConfig(road_length=20), start_lane=1, letters="TLRT")
+    def test_step_plays_the_written_rules_byte_for_byte(self, config, start_lane, letters):
+        rows = brain(letters)
+        assert played_episode(config, start_lane, rows) == reference_episode(config, start_lane, rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_episode_plays_the_written_rules(self, seed):
+        config = GameConfig(seed=seed)
+        result = run_episode(config, "classical")
+        played = (result.status.value, result.ticks_elapsed, result.collision_tick, [trace_json_line(r) for r in result.trace])
+        assert played == reference_episode(config, 2, brain("FLRT"))
 
 
 class TestPoseAndObstacleTypes:
