@@ -40,8 +40,8 @@ import numpy as np
 from .brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table
 from .circuit import require_int
 
-#: Lane occupied by each obstacle track.
-TRACK_LANES = {1: 1, 2: 4}
+#: The obstacle track a robot's two lanes cover, by left lane (track 1 is lane 1, track 2 lane 4; 0 for none).
+_EXPOSED_TRACK = {1: 1, 2: 0, 3: 2}
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,9 +50,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 256
 #: The k-th draw of a block mixes ``base + k * gamma``; uint64 arrays wrap silently.
 _BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-
-#: Least value of each bounded int field of ``GameConfig``.
-_CONFIG_LOWS = {"road_length": 1, "detection_window": 2, "min_gap": 0, "max_ticks": 1}
 
 
 class EpisodeStatus(Enum):
@@ -121,15 +118,16 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "spawn_prob":
-                if isinstance(value, bool) or not isinstance(value, Real):
-                    raise ValueError(f"spawn_prob must be a real number, got {value!r}")
-            elif not (f.name == "max_ticks" and value is None):
-                require_int(f.name, value, _CONFIG_LOWS.get(f.name))
+        require_int("road_length", self.road_length, 1)
+        require_int("detection_window", self.detection_window, 2)
+        require_int("spawn_horizon", self.spawn_horizon)
+        if isinstance(self.spawn_prob, bool) or not isinstance(self.spawn_prob, Real):
+            raise ValueError(f"spawn_prob must be a real number, got {self.spawn_prob!r}")
+        require_int("min_gap", self.min_gap, 0)
         if self.max_ticks is None:
             object.__setattr__(self, "max_ticks", 4 * self.road_length)
+        require_int("max_ticks", self.max_ticks, 1)
+        require_int("seed", self.seed)
         if self.spawn_horizon <= self.detection_window:
             raise ValueError(
                 f"spawn_horizon ({self.spawn_horizon}) must exceed "
@@ -273,19 +271,14 @@ def sense(state: GameState) -> int:
 
 
 def act(state: GameState, motors: MotorOutput) -> GameState:
-    """Apply one motor command: lift or lane shift, then advance one row."""
+    """Advance one row to left lane ``left_lane + m1 - m2`` (the road's edge keeps
+    the lane when that leaves 1..3) at altitude ``m3``. ``MotorOutput`` allows no
+    wheel in flight, so a flight keeps the lane, and any tick with ``m3 == 0`` lands."""
     pose = state.robot
-    if motors.m3:
-        lane, altitude = pose.left_lane, 1
-    else:
-        altitude = 0
-        if motors.m1 and not motors.m2:
-            lane = min(pose.left_lane + 1, 3)  # left wheel only: veer right
-        elif motors.m2 and not motors.m1:
-            lane = max(pose.left_lane - 1, 1)  # right wheel only: veer left
-        else:
-            lane = pose.left_lane
-    state.robot = _pose(pose.row + 1, lane, altitude)
+    lane = pose.left_lane + motors.m1 - motors.m2
+    if not 1 <= lane <= 3:
+        lane = pose.left_lane
+    state.robot = _pose(pose.row + 1, lane, motors.m3)
     return state
 
 
@@ -318,6 +311,9 @@ def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:
     The brain ``rows`` is four ``MotorOutput``s in ``SENSOR_INPUTS`` order; the
     motors are ``rows[sense(state)]``. Obstacles move by advancing ``state.tick``:
     none is rebuilt, and the spawn pass places new ones at the advanced tick.
+    A grounded robot in left lane 1 (3) hits a track-1 (track-2) obstacle that
+    ends the move on its row, or an oncoming one that ends it one row behind.
+    Then obstacles more than two rows behind the robot leave the road.
     """
     if state.status is not _RUNNING:
         raise RuntimeError(f"cannot step a {state.status.value} episode")
@@ -332,15 +328,16 @@ def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:
     robot = state.robot
     t = state.tick = tick + 1
 
-    # Swept: from an odd offset an oncoming obstacle passes the robot without sharing its row.
-    # Before the move the offset was offset - direction + 1: the robot advances one row per tick.
-    if robot.altitude == 0:
+    # Swept: closing two rows per tick, an oncoming obstacle one row behind passed the robot.
+    track = 0 if robot.altitude else _EXPOSED_TRACK[robot.left_lane]
+    if track:
         for o in state.obstacles:
-            offset = o.row0 + o.direction * t - robot.row
-            if (offset == 0 or offset - o.direction + 1 > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1:
-                state.status = _COLLIDED
-                state.collision_tick = tick
-                break
+            if o.track == track:
+                offset = o.row0 + o.direction * t - robot.row
+                if offset == 0 or (offset == -1 and o.direction == -1):
+                    state.status = _COLLIDED
+                    state.collision_tick = tick
+                    break
 
     behind = robot.row - 2
     state.obstacles = [o for o in state.obstacles if o.row0 + o.direction * t >= behind]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 
@@ -36,6 +37,10 @@ MASK64 = (1 << 64) - 1
 PAPER_ROWS = tuple(control_table()[s] for s in SENSOR_INPUTS)
 #: One road per sensor input, in row order: clear, track 2, track 1, both tracks lit.
 FOUR_ROADS = ((), (Obstacle(2, 2, -1),), (Obstacle(1, 2, -1),), (Obstacle(1, 2, -1), Obstacle(2, 3, 1)))
+#: Lane of each obstacle track, for the collision rule's general form.
+TRACK_LANES = {1: 1, 2: 4}
+#: (track, direction, post-move offset) of every obstacle that a grounded robot hits, by its left lane.
+COLLISIONS_BY_LANE = {1: [(1, -1, -1), (1, -1, 0), (1, 1, 0)], 2: [], 3: [(2, -1, -1), (2, -1, 0), (2, 1, 0)]}
 
 
 def reference_splitmix64(seed):
@@ -47,6 +52,12 @@ def reference_splitmix64(seed):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         yield z ^ (z >> 31)
+
+
+def collides_in_general_form(robot, o, t):
+    """The collision rule as first written, per obstacle: lane arithmetic and a swept clause for either direction."""
+    offset = o.row0 + o.direction * t - robot.row
+    return robot.altitude == 0 and (offset == 0 or offset - o.direction + 1 > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1
 
 
 def reference_trace_json_line(record):
@@ -269,39 +280,34 @@ class TestSense:
         ]
 
 
+#: ``act``'s whole rule, one row per valid motor command: the left lane after it from left lanes 1, 2 and 3,
+#: and the altitude after it, whatever the altitude before.
+ACT_TABLE = [
+    (MotorOutput(0, 0, 0), (1, 2, 3), 0),  # no motor: hold the lane
+    (MotorOutput(1, 1, 0), (1, 2, 3), 0),  # forward: hold the lane
+    (MotorOutput(0, 1, 0), (1, 1, 2), 0),  # right wheel alone: one lane left, held at lane 1
+    (MotorOutput(1, 0, 0), (2, 3, 3), 0),  # left wheel alone: one lane right, held at lane 3
+    (MotorOutput(0, 0, 1), (1, 2, 3), 1),  # propeller: fly in the same lane
+]
+
+
 class TestAct:
-    def test_left_shift(self):
-        state = make_state(robot=RobotPose(0, 2, 0))
-        act(state, MotorOutput(0, 1, 0))
-        assert state.robot == RobotPose(1, 1, 0)
+    def test_table_holds_every_valid_motor_command(self):
+        valid = set()
+        for bits in itertools.product((0, 1), repeat=3):
+            try:
+                valid.add(MotorOutput(*bits))
+            except ValueError:
+                pass  # the propeller with a wheel
+        assert valid == {motors for motors, _, _ in ACT_TABLE}
 
-    def test_right_shift(self):
-        state = make_state(robot=RobotPose(0, 2, 0))
-        act(state, MotorOutput(1, 0, 0))
-        assert state.robot == RobotPose(1, 3, 0)
-
-    def test_both_motors_hold_lane(self):
-        state = make_state(robot=RobotPose(4, 2, 0))
-        act(state, MotorOutput(1, 1, 0))
-        assert state.robot == RobotPose(5, 2, 0)
-
-    def test_flight(self):
-        state = make_state(robot=RobotPose(0, 2, 0))
-        act(state, MotorOutput(0, 0, 1))
-        assert state.robot == RobotPose(1, 2, 1)
-
-    def test_lane_clamps(self):
-        state = make_state(robot=RobotPose(0, 3, 0))
-        act(state, MotorOutput(1, 0, 0))
-        assert state.robot.left_lane == 3
-        state = make_state(robot=RobotPose(0, 1, 0))
-        act(state, MotorOutput(0, 1, 0))
-        assert state.robot.left_lane == 1
-
-    def test_landing_resets_altitude(self):
-        state = make_state(robot=RobotPose(3, 2, 1))
-        act(state, MotorOutput(1, 1, 0))
-        assert state.robot.altitude == 0
+    @pytest.mark.parametrize("altitude_before", [0, 1])
+    @pytest.mark.parametrize("motors,lanes,altitude", ACT_TABLE)
+    def test_rule_table(self, motors, lanes, altitude, altitude_before):
+        for lane_before, lane in zip((1, 2, 3), lanes):
+            state = make_state(robot=RobotPose(7, lane_before, altitude_before))
+            act(state, motors)
+            assert state.robot == RobotPose(8, lane, altitude), lane_before
 
     def test_pose_cache_stays_bounded(self):
         maxsize = game._pose.cache_info().maxsize
@@ -414,6 +420,23 @@ class TestStep:
             step(state, (MotorOutput(1, 1, 0),) * 4)
         assert state.status is EpisodeStatus.COLLIDED
         assert state.collision_tick == (offset - 1) // 2
+
+    @pytest.mark.parametrize("altitude", [0, 1])
+    @pytest.mark.parametrize("left_lane", [1, 2, 3])
+    def test_collision_table(self, left_lane, altitude):
+        # every track, direction and post-move offset -3..3, most of which play never reaches
+        rows = (MotorOutput(0, 0, altitude),) * 4  # hold the lane, at this altitude
+        collided = []
+        for track, direction, offset in itertools.product((1, 2), (-1, 1), range(-3, 4)):
+            o = Obstacle(track, 1 + offset - direction, direction)  # at row 1 + offset after the first move
+            state = step(make_state(robot=RobotPose(0, left_lane, 0), obstacles=[o]), rows)
+            robot, t = state.robot, state.tick
+            assert (robot.row, robot.left_lane, robot.altitude, t) == (1, left_lane, altitude, 1)
+            expected = collides_in_general_form(robot, o, t)
+            assert (state.status is EpisodeStatus.COLLIDED) == expected, (track, direction, offset)
+            assert state.collision_tick == (0 if expected else None)
+            collided += [(track, direction, offset)] * expected
+        assert collided == COLLISIONS_BY_LANE[left_lane] * (altitude == 0)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_brain_of_wrong_length_rejected(self, n):
