@@ -39,8 +39,6 @@ PAPER_ROWS = tuple(control_table()[s] for s in SENSOR_INPUTS)
 FOUR_ROADS = ((), (Obstacle(2, 2, -1),), (Obstacle(1, 2, -1),), (Obstacle(1, 2, -1), Obstacle(2, 3, 1)))
 #: Lane of each obstacle track, for the collision rule's general form.
 TRACK_LANES = {1: 1, 2: 4}
-#: (track, direction, post-move offset) of every obstacle that a grounded robot hits, by its left lane.
-COLLISIONS_BY_LANE = {1: [(1, -1, -1), (1, -1, 0), (1, 1, 0)], 2: [], 3: [(2, -1, -1), (2, -1, 0), (2, 1, 0)]}
 
 
 def reference_splitmix64(seed):
@@ -426,7 +424,6 @@ class TestStep:
     def test_collision_table(self, left_lane, altitude):
         # every track, direction and post-move offset -3..3, most of which play never reaches
         rows = (MotorOutput(0, 0, altitude),) * 4  # hold the lane, at this altitude
-        collided = []
         for track, direction, offset in itertools.product((1, 2), (-1, 1), range(-3, 4)):
             o = Obstacle(track, 1 + offset - direction, direction)  # at row 1 + offset after the first move
             state = step(make_state(robot=RobotPose(0, left_lane, 0), obstacles=[o]), rows)
@@ -435,8 +432,6 @@ class TestStep:
             expected = collides_in_general_form(robot, o, t)
             assert (state.status is EpisodeStatus.COLLIDED) == expected, (track, direction, offset)
             assert state.collision_tick == (0 if expected else None)
-            collided += [(track, direction, offset)] * expected
-        assert collided == COLLISIONS_BY_LANE[left_lane] * (altitude == 0)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_brain_of_wrong_length_rejected(self, n):
@@ -644,13 +639,6 @@ class TestReferenceGame:
     def test_step_plays_the_written_rules_byte_for_byte(self, config, start_lane, letters):
         rows = brain(letters)
         assert played_episode(config, start_lane, rows) == reference_episode(config, start_lane, rows)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_run_episode_plays_the_written_rules(self, seed):
-        config = GameConfig(seed=seed)
-        result = run_episode(config, "classical")
-        played = (result.status.value, result.ticks_elapsed, result.collision_tick, [trace_json_line(r) for r in result.trace])
-        assert played == reference_episode(config, 2, brain("FLRT"))
 
 
 class TestPoseAndObstacleTypes:
