@@ -21,18 +21,14 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .circuit import Circuit, ccx, ccxx, cx, lower, require_int
-from .qsim import OutcomeDistribution, new_basis_state, outcome_distribution, run_circuit
-
-#: A measured outcome must carry at least this much probability to count as
-#: deterministic.
-DELTA_ATOL = 1e-9
+from .qsim import ATOL, OutcomeDistribution, new_basis_state, outcome_distribution, run_circuit
 
 
 class NondeterministicOutcomeError(RuntimeError):
     """The measured distribution was not a delta; the control circuit is broken."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SensorInput:
     """The two light-sensor bits (s1 = left side, s2 = right side)."""
 
@@ -48,7 +44,7 @@ class SensorInput:
 SENSOR_INPUTS = tuple(SensorInput(a, b) for a in (0, 1) for b in (0, 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MotorOutput:
     """The three motor bits: left wheel, right wheel, propeller."""
 
@@ -111,11 +107,11 @@ def drive(sensors: SensorInput, lowered: bool = False) -> MotorOutput:
     """Run the control circuit on |0 0 s1 s2 0> and read the motor bits.
 
     Raises NondeterministicOutcomeError if the measured distribution is not a
-    delta (probability >= 1 - DELTA_ATOL on a single outcome).
+    delta (probability >= 1 - qsim.ATOL on a single outcome).
     """
     dist = measure_distribution(sensors, lowered)
     outcome, p = max(dist.probs.items(), key=lambda item: item[1])
-    if p < 1.0 - DELTA_ATOL:
+    if p < 1.0 - ATOL:
         raise NondeterministicOutcomeError(
             f"input ({sensors.s1}, {sensors.s2}) gave best outcome {outcome!r} "
             f"with probability {p}, expected a delta"

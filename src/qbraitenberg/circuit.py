@@ -95,7 +95,7 @@ def require_qubits(name: str, qubits: tuple[int, ...] | list[int], n_qubits: int
     return qubits
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ControlSpec:
     """A control wire; the gate fires when the qubit reads |value>.
 
@@ -107,11 +107,10 @@ class ControlSpec:
 
     def __post_init__(self) -> None:
         require_int("control qubit", self.qubit, 0)
-        if type(self.value) is not int or self.value not in (0, 1):
-            raise ValueError(f"control value must be the int 0 or 1, got {_shown(self.value)}")
+        require_int("control value", self.value, among=(0, 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CircuitOp:
     """One gate application: a kind, its controls, and its ordered targets.
 

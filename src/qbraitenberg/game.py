@@ -146,7 +146,7 @@ class GameConfig:
         return cls(**dict(data))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RobotPose:
     """Robot position: road row, left lane of the two occupied, and altitude."""
 
@@ -167,7 +167,7 @@ _POSE_CACHE = 1024
 _pose = lru_cache(maxsize=_POSE_CACHE, typed=True)(RobotPose)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Obstacle:
     """One obstacle on a terminal track; direction is rows per tick, fixed at spawn.
 
@@ -270,7 +270,7 @@ def sense(state: GameState) -> int:
     return 2 * hit[0] + hit[1]
 
 
-def act(state: GameState, motors: MotorOutput) -> GameState:
+def act(state: GameState, motors: MotorOutput) -> None:
     """Advance one row to left lane ``left_lane + m1 - m2`` (the road's edge keeps
     the lane when that leaves 1..3) at altitude ``m3``. ``MotorOutput`` allows no
     wheel in flight, so a flight keeps the lane, and any tick with ``m3 == 0`` lands."""
@@ -279,10 +279,9 @@ def act(state: GameState, motors: MotorOutput) -> GameState:
     if not 1 <= lane <= 3:
         lane = pose.left_lane
     state.robot = _pose(pose.row + 1, lane, motors.m3)
-    return state
 
 
-def spawn_obstacles(state: GameState) -> GameState:
+def spawn_obstacles(state: GameState) -> None:
     """Spawn pass, track 1 then track 2, spawn coin before direction coin.
 
     A passing spawn coin inserts an obstacle at the spawn horizon unless an
@@ -301,7 +300,6 @@ def spawn_obstacles(state: GameState) -> GameState:
             continue
         direction = -1 if state.rng.random() < 0.5 else 1
         state.obstacles.append(Obstacle(track, spawn_row - direction * t, direction))
-    return state
 
 
 def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:

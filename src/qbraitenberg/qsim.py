@@ -6,11 +6,14 @@ of the basis index, so ``new_basis_state(5, "00110")`` puts the amplitude at
 index 0b00110 = 6. All operations are pure: they return fresh values and
 never mutate their inputs; ``run_circuit`` copies the amplitudes once, then
 applies each op in place by its structure (``_apply_op``), not as a matrix.
+Values own read-only copies of their data (arrays with ``writeable`` off, a
+``MappingProxyType``), so no later write can undo a check that has passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,11 +47,12 @@ class StateVector:
 
     def __post_init__(self) -> None:
         require_int("n_qubits", self.n_qubits, 1)
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
+        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
@@ -64,7 +68,7 @@ class GateMatrix:
 
     def __post_init__(self) -> None:
         require_int("k", self.k, 1)
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.array(self.entries, dtype=complex)
         dim = 2**self.k
         if entries.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {entries.shape}")
@@ -73,6 +77,7 @@ class GateMatrix:
         defect = np.abs(entries.conj().T @ entries - np.eye(dim)).max()
         if defect > ATOL:
             raise ValueError(f"matrix is not unitary (U†U deviates from I by {defect:.3e})")
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
 
@@ -84,14 +89,16 @@ class OutcomeDistribution:
     first listed qubit. Every outcome appears, including zeros.
     """
 
-    probs: dict[str, float]
+    probs: MappingProxyType[str, float]
 
     def __post_init__(self) -> None:
-        if any(p < -1e-12 for p in self.probs.values()):
+        probs = MappingProxyType(dict(self.probs))
+        if any(p < -1e-12 for p in probs.values()):
             raise ValueError("probabilities must be nonnegative")
-        total = sum(self.probs.values())
+        total = sum(probs.values())
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
+        object.__setattr__(self, "probs", probs)
 
 
 def new_basis_state(n_qubits: int, bits: str) -> StateVector:

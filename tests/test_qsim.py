@@ -15,6 +15,7 @@ from qbraitenberg.brain import build_robot_circuit
 from qbraitenberg.circuit import Circuit, CircuitOp, GateKind, ccx, ccxx, cx, export_qasm, h, x
 from qbraitenberg.qsim import (
     GateMatrix,
+    OutcomeDistribution,
     StateVector,
     apply_gate,
     circuit_unitary,
@@ -226,6 +227,31 @@ class TestOutcomeDistribution:
         oracle = marginal_by_enumeration(state.amps, n, measured)
         for key, p in dist.probs.items():
             assert p == pytest.approx(oracle.get(key, 0.0), abs=1e-12)
+
+
+class TestValuesOwnReadOnlyData:
+    """Each check runs once, at construction, so no write may reach a value's data after it."""
+
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            (lambda: run_circuit(Circuit(1, (h(0),)), new_basis_state(1, "0")).amps, slice(None)),
+            (lambda: circuit_unitary(Circuit(1, (h(0),))).entries, (0, 0)),
+            (lambda: outcome_distribution(new_basis_state(1, "0"), (0,)).probs, "0"),
+        ],
+        ids=["amps", "entries", "probs"],
+    )
+    def test_writes_raise(self, data, key):
+        with pytest.raises((ValueError, TypeError)):
+            data()[key] = 0
+
+    def test_inputs_are_copied(self):
+        amps, entries, probs = np.array([1, 0], dtype=complex), np.eye(2, dtype=complex), {"0": 1.0, "1": 0.0}
+        state, gate, dist = StateVector(1, amps), GateMatrix(1, entries), OutcomeDistribution(probs)
+        amps[0], entries[0, 0], probs["0"] = 5, 9, 7.0
+        assert state.norm() == 1.0 and np.array_equal(state.amps, [1, 0])
+        assert np.array_equal(gate.entries, np.eye(2))
+        assert dist.probs == {"0": 1.0, "1": 0.0}
 
 
 class TestCircuitUnitary:
