@@ -128,9 +128,20 @@ class TestDrive:
                 assert len(lines) == 1
 
     def test_bad_bit_is_usage_error(self):
+        # only the exact strings "0" and "1" are bits: int() would take " 1", and a bool parser "true"
+        for bad in ("7", "01", " 1", "", "true"):
+            for argv in (["--s1", bad, "--s2", "0"], ["--s1", "0", "--s2", bad]):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(["drive", *argv])
+                assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["drive", "--s1", "0", "--s2", "0"], ["game-run"]])
+    def test_library_brain_spelling_is_usage_error(self, capsys, command):
+        # the CLI spells brain kinds with hyphens; the library's underscore name is not a choice
         with pytest.raises(SystemExit) as excinfo:
-            main(["drive", "--s1", "7", "--s2", "0"])
-        assert excinfo.value.code != 0
+            main([*command, "--brain", "quantum_lowered"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'quantum_lowered'" in capsys.readouterr().err
 
     def test_nondeterministic_circuit_is_an_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(brain, "build_robot_circuit", lambda: Circuit(5, (h(2),)))
