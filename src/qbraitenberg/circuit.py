@@ -53,12 +53,8 @@ ARITY: dict[GateKind, tuple[int, int]] = {
     GateKind.CCXX: (2, 2),
 }
 
-#: QASM mnemonic of each kind allowed in a fully lowered circuit (and in QASM output).
-_QASM_NAMES = {
-    kind: kind.value
-    for kind in (GateKind.X, GateKind.H, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.CX)
-}
-LOWERED_KINDS = frozenset(_QASM_NAMES)
+#: The kinds allowed in a fully lowered circuit (and in QASM output).
+LOWERED_KINDS = frozenset((GateKind.X, GateKind.H, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.CX))
 
 
 def _shown(value: object) -> str:
@@ -307,13 +303,12 @@ def export_qasm(circuit: Circuit, measured: tuple[int, ...] | list[int]) -> str:
     if measured:
         lines.append(f"creg c[{len(measured)}];")
     for op in circuit.ops:
-        name = _QASM_NAMES.get(op.kind)
-        if name is None:
+        if op.kind not in LOWERED_KINDS:
             raise UnsupportedGateError(f"cannot export {op.kind.value}; lower the circuit first")
         for c in op.controls:
             if c.value != 1:
                 raise UnsupportedGateError("cannot export anticontrolled ops; lower the circuit first")
-        lines.append(f"{name} q[{'],q['.join(map(str, op.qubits))}];")
+        lines.append(f"{op.kind._value_} q[{'],q['.join(map(str, op.qubits))}];")
     for i, q in enumerate(measured):
         lines.append(f"measure q[{q}] -> c[{i}];")
     return "\n".join(lines) + "\n"

@@ -23,10 +23,8 @@ from .circuit import GateKind, depth, export_qasm, lower
 from .game import EpisodeStatus, GameConfig, run_episode, trace_json_line
 
 
-def _bit(text: str) -> int:
-    if text not in ("0", "1"):
-        raise argparse.ArgumentTypeError(f"expected 0 or 1, got {text!r}")
-    return int(text)
+#: Brain kinds as the CLI spells them, hyphenated, to the library's names.
+_BRAIN_NAMES = {kind.replace("_", "-"): kind for kind in BRAIN_KINDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,34 +33,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-brain vehicle: circuit simulation, QASM export, and the obstacle-lane game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    brains = sorted(kind.replace("_", "-") for kind in BRAIN_KINDS)
 
     run = sub.add_parser("circuit-run", help="print the measured outcome distribution for a sensor input")
     run.add_argument("--input", required=True, choices=("00", "01", "10", "11"), help="sensor bits s1s2")
     run.add_argument("--lowered", action="store_true", help="run the Clifford+T form of the circuit")
+    run.set_defaults(handler=_cmd_circuit_run)
 
     stats = sub.add_parser("circuit-stats", help="print gate counts, T-count, CX count and depth of the control circuit")
     stats.add_argument("--lowered", action="store_true", help="count the Clifford+T form of the circuit")
+    stats.set_defaults(handler=_cmd_circuit_stats)
 
     export = sub.add_parser("circuit-export", help="write the lowered control circuit as OpenQASM 2.0")
     export.add_argument("--out", help="output path (stdout when omitted)")
+    export.set_defaults(handler=_cmd_circuit_export)
 
     drv = sub.add_parser("drive", help="drive one sensor input and print the motor command")
-    drv.add_argument("--s1", required=True, type=_bit, help="left sensor bit")
-    drv.add_argument("--s2", required=True, type=_bit, help="right sensor bit")
-    drv.add_argument("--brain", choices=brains, default="quantum")
+    drv.add_argument("--s1", required=True, choices=("0", "1"), help="left sensor bit")
+    drv.add_argument("--s2", required=True, choices=("0", "1"), help="right sensor bit")
+    drv.add_argument("--brain", choices=sorted(_BRAIN_NAMES), default="quantum")
+    drv.set_defaults(handler=_cmd_drive)
 
     game = sub.add_parser("game-run", help="run seeded game episodes")
     game.add_argument("--seed", type=int, default=None,
                       help="base seed; episode i uses seed + i (default: the config seed)")
     game.add_argument("--episodes", type=int, default=1)
     game.add_argument("--config", help="JSON file of game settings; absent fields take defaults")
-    game.add_argument("--brain", choices=brains, default="quantum")
+    game.add_argument("--brain", choices=sorted(_BRAIN_NAMES), default="quantum")
     game.add_argument("--trace-out", help="write per-tick JSONL traces for all episodes")
+    game.set_defaults(handler=_cmd_game_run)
     return parser
 
 
-def _cmd_circuit_run(args: argparse.Namespace) -> int:
+def _cmd_circuit_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     sensors = SensorInput(int(args.input[0]), int(args.input[1]))
     dist = measure_distribution(sensors, lowered=args.lowered)
     for outcome in sorted(dist.probs):
@@ -70,7 +72,7 @@ def _cmd_circuit_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_circuit_stats(args: argparse.Namespace) -> int:
+def _cmd_circuit_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     circuit = lower(build_robot_circuit()) if args.lowered else build_robot_circuit()
     kinds = Counter(op.kind for op in circuit.ops)
     t_count = kinds[GateKind.T] + kinds[GateKind.TDG]
@@ -84,7 +86,7 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return 1
 
 
-def _cmd_circuit_export(args: argparse.Namespace) -> int:
+def _cmd_circuit_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     text = export_qasm(lower(build_robot_circuit()), MEASURED)
     if args.out is None:
         sys.stdout.write(text)
@@ -97,8 +99,8 @@ def _cmd_circuit_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_drive(args: argparse.Namespace) -> int:
-    motors = control_table(args.brain.replace("-", "_"))[SensorInput(args.s1, args.s2)]
+def _cmd_drive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    motors = control_table(_BRAIN_NAMES[args.brain])[SensorInput(int(args.s1), int(args.s2))]
     print(f"{motors.m1} {motors.m2} {motors.m3} {behavior_label(motors)}")
     return 0
 
@@ -123,7 +125,7 @@ def _cmd_game_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"invalid config: {exc}")
 
     base_seed = args.seed if args.seed is not None else config.seed
-    kind = args.brain.replace("-", "_")
+    kind = _BRAIN_NAMES[args.brain]
     statuses: Counter = Counter()
     ticks = 0
     path = args.trace_out
@@ -159,15 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "circuit-run":
-            return _cmd_circuit_run(args)
-        if args.command == "circuit-stats":
-            return _cmd_circuit_stats(args)
-        if args.command == "circuit-export":
-            return _cmd_circuit_export(args)
-        if args.command == "drive":
-            return _cmd_drive(args)
-        return _cmd_game_run(args, parser)
+        return args.handler(args, parser)
     except NondeterministicOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,28 +76,22 @@ def _mix(z: np.ndarray) -> np.ndarray:
 class SplitMix64:
     """splitmix64 generator: tiny, portable, reproducible across platforms.
 
-    Outputs are computed ``_BLOCK`` at a time; ``random`` reads them in order,
-    as doubles built from each output's top 53 bits.
+    Outputs are computed ``_BLOCK`` at a time, as doubles built from each
+    output's top 53 bits; ``_unread`` holds the block's unread doubles in
+    reverse, so ``random`` pops them from its end in stream order.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64  # the counter before the next block
-        self._pos = _BLOCK
-
-    def _refill(self) -> None:
-        z = _mix(np.uint64(self._state) + _BLOCK_STEPS)
-        self._floats = ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
-        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
-        self._pos = 0
+        self._unread: list[float] = []
 
     def random(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits; the conversion is exact."""
-        i = self._pos
-        if i == _BLOCK:
-            self._refill()
-            i = 0
-        self._pos = i + 1
-        return self._floats[i]
+        if not self._unread:
+            z = _mix(np.uint64(self._state) + _BLOCK_STEPS)
+            self._unread = ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()[::-1]
+            self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
+        return self._unread.pop()
 
 
 @dataclass(frozen=True)
@@ -251,6 +245,11 @@ class EpisodeResult:
     ticks_elapsed: int
     collision_tick: int | None
     trace: tuple[TickTrace, ...]
+
+    def __post_init__(self) -> None:
+        require_int("ticks_elapsed", self.ticks_elapsed, 0)
+        if self.collision_tick is not None:
+            require_int("collision_tick", self.collision_tick, 0)
 
 
 def new_game(config: GameConfig) -> GameState:

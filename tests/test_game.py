@@ -13,6 +13,7 @@ from conftest import NamedInt
 from qbraitenberg import game
 from qbraitenberg.brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table
 from qbraitenberg.game import (
+    EpisodeResult,
     EpisodeStatus,
     GameConfig,
     Obstacle,
@@ -528,6 +529,28 @@ class TestRunEpisode:
                     if obstacle.row_at(record.tick + 1) == record.after.row:
                         sensed = record.sensors.s1 if obstacle.track == 1 else record.sensors.s2
                         assert sensed == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=game_configs(), letters=st.text("FLRT", min_size=4, max_size=4))
+    def test_episode_ends_at_the_finish_line_or_the_tick_budget(self, config, letters):
+        # the robot advances one row every tick, so it wins at tick road_length unless the budget runs out
+        # first; the default budget of 4 * road_length therefore never binds
+        state = new_game(config)
+        while state.status is EpisodeStatus.RUNNING:
+            step(state, brain(letters))
+        if state.status is EpisodeStatus.COLLIDED:
+            assert state.tick <= min(config.road_length, config.max_ticks)
+        elif config.max_ticks >= config.road_length:
+            assert (state.status, state.tick) == (EpisodeStatus.WON, config.road_length)
+        else:
+            assert (state.status, state.tick) == (EpisodeStatus.TIMED_OUT, config.max_ticks)
+
+    @pytest.mark.parametrize("field", ["ticks_elapsed", "collision_tick"])
+    @pytest.mark.parametrize("value", [True, 1.5, -1])
+    def test_result_tick_fields_must_be_non_negative_ints(self, field, value):
+        ticks = {"ticks_elapsed": 7, "collision_tick": 6, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0, got {re.escape(repr(value))}$"):
+            EpisodeResult(EpisodeStatus.COLLIDED, ticks["ticks_elapsed"], ticks["collision_tick"], ())
 
     def test_approach_monotonicity(self):
         result = run_episode(GameConfig(seed=3, spawn_prob=0.9), "classical")
