@@ -548,9 +548,9 @@ class TestRunEpisode:
     @pytest.mark.parametrize("field", ["ticks_elapsed", "collision_tick"])
     @pytest.mark.parametrize("value", [True, 1.5, -1])
     def test_result_tick_fields_must_be_non_negative_ints(self, field, value):
-        ticks = {"ticks_elapsed": 7, "collision_tick": 6, field: value}
+        fields = {"status": EpisodeStatus.COLLIDED, "ticks_elapsed": 7, "collision_tick": 6, "trace": (), field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0, got {re.escape(repr(value))}$"):
-            EpisodeResult(EpisodeStatus.COLLIDED, ticks["ticks_elapsed"], ticks["collision_tick"], ())
+            EpisodeResult(**fields)
 
     def test_approach_monotonicity(self):
         result = run_episode(GameConfig(seed=3, spawn_prob=0.9), "classical")
