@@ -16,8 +16,8 @@ draw order, so a (seed, config) pair determines the run down to the trace
 bytes, whichever brain computes the motor commands. splitmix64 is
 counter-based (its k-th output is a fixed mix of ``seed + k * gamma``), so the
 stream is drawn in blocks by one vectorised pass: the same values, in the same
-order and the same count, as drawing them one at a time. Robot poses are
-validated once and then reused from a bounded cache, since they are frozen.
+order and the same count, as drawing them one at a time. The robot's row is
+the tick, so its six frozen poses are validated once, at import, and shared.
 
 Every tick builds one ``TickTrace``. It is a tuple subclass because a frozen
 dataclass pays one ``object.__setattr__`` per field on every construction;
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
 from numbers import Real
 from typing import Mapping, NamedTuple
 
@@ -142,23 +141,18 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class RobotPose:
-    """Robot position: road row, left lane of the two occupied, and altitude."""
+    """Robot position: left lane of the two occupied, and altitude; its row is ``state.tick``."""
 
-    row: int = 0
     left_lane: int = 2
     altitude: int = 0
 
     def __post_init__(self) -> None:
-        require_int("row", self.row)
-        if self.row < 0:
-            raise ValueError(f"row must be >= 0, got {self.row}")
         require_int("left_lane", self.left_lane, among=(1, 2, 3))
         require_int("altitude", self.altitude, among=(0, 1))
 
 
-#: Validated poses shared by ``act``; 1000 default-config seeds visit 314 distinct poses.
-_POSE_CACHE = 1024
-_pose = lru_cache(maxsize=_POSE_CACHE, typed=True)(RobotPose)
+#: Every pose, by ``(left_lane, altitude)``; ``act`` shares these instead of building one per tick.
+_POSES = {(lane, alt): RobotPose(lane, alt) for lane in (1, 2, 3) for alt in (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,8 @@ class Obstacle:
         """The obstacle's row while ``state.tick == tick``, i.e. before step ``tick`` runs.
 
         The snapshot in the trace record of tick ``k`` is taken after the move,
-        so its rows are ``row_at(k + 1)``. The game's hot paths inline this sum.
+        so its rows are ``row_at(k + 1)``. The game's hot paths inline this sum,
+        and its offset from the robot, whose row is the tick, as ``row0 + (direction - 1) * tick``.
         """
         return self.row0 + self.direction * tick
 
@@ -224,9 +219,9 @@ class TickTrace(_TickFields):
 class GameState:
     """Mutable episode state; owned by exactly one caller at a time.
 
-    ``tick`` counts the steps taken so far, and each live obstacle's row is
-    ``row_at(tick)``. Obstacles are immutable and shared with every
-    ``TickTrace`` snapshot that holds them.
+    ``tick`` counts the steps taken so far and is the robot's row; each live
+    obstacle's row is ``row_at(tick)``. Obstacles are immutable and shared with
+    every ``TickTrace`` snapshot that holds them.
     """
 
     config: GameConfig
@@ -253,15 +248,15 @@ class EpisodeResult:
 
 
 def new_game(config: GameConfig) -> GameState:
-    """Fresh episode: robot at row 0 on the middle lanes, empty road."""
+    """Fresh episode: tick 0 (so row 0), robot grounded on the middle lanes, empty road."""
     return GameState(config, RobotPose(), [], SplitMix64(config.seed))
 
 
 def sense(state: GameState) -> int:
     """OR of each track's presence within the forward detection window, as the row index ``2*s1 + s2``."""
-    lo = state.robot.row + 1
-    hi = state.robot.row + state.config.detection_window
     t = state.tick
+    lo = t + 1
+    hi = t + state.config.detection_window
     hit = [0, 0]
     for o in state.obstacles:
         if lo <= o.row0 + o.direction * t <= hi:
@@ -270,14 +265,14 @@ def sense(state: GameState) -> int:
 
 
 def act(state: GameState, motors: MotorOutput) -> None:
-    """Advance one row to left lane ``left_lane + m1 - m2`` (the road's edge keeps
-    the lane when that leaves 1..3) at altitude ``m3``. ``MotorOutput`` allows no
+    """Move to left lane ``left_lane + m1 - m2`` (kept when that leaves 1..3) at altitude
+    ``m3``; ``step`` advances the tick, which is the row. ``MotorOutput`` allows no
     wheel in flight, so a flight keeps the lane, and any tick with ``m3 == 0`` lands."""
     pose = state.robot
     lane = pose.left_lane + motors.m1 - motors.m2
     if not 1 <= lane <= 3:
         lane = pose.left_lane
-    state.robot = _pose(pose.row + 1, lane, motors.m3)
+    state.robot = _POSES[lane, motors.m3]
 
 
 def spawn_obstacles(state: GameState) -> None:
@@ -289,8 +284,8 @@ def spawn_obstacles(state: GameState) -> None:
     are those at ``state.tick``; this is the only place obstacles are built.
     """
     cfg = state.config
-    spawn_row = state.robot.row + cfg.spawn_horizon
     t = state.tick
+    spawn_row = t + cfg.spawn_horizon
     for track in (1, 2):
         if state.rng.random() >= cfg.spawn_prob:
             continue
@@ -330,17 +325,17 @@ def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:
     if track:
         for o in state.obstacles:
             if o.track == track:
-                offset = o.row0 + o.direction * t - robot.row
+                offset = o.row0 + (o.direction - 1) * t
                 if offset == 0 or (offset == -1 and o.direction == -1):
                     state.status = _COLLIDED
                     state.collision_tick = tick
                     break
 
-    behind = robot.row - 2
+    behind = t - 2
     state.obstacles = [o for o in state.obstacles if o.row0 + o.direction * t >= behind]
     spawn_obstacles(state)
 
-    if state.status is _RUNNING and robot.row >= cfg.road_length:
+    if state.status is _RUNNING and t >= cfg.road_length:
         state.status = _WON
     if state.status is _RUNNING and t >= cfg.max_ticks:
         state.status = _TIMED_OUT
@@ -367,7 +362,7 @@ def run_episode(config: GameConfig, brain_kind: str = "quantum") -> EpisodeResul
 def trace_json_line(record: TickTrace) -> str:
     """Serialize one tick as a JSONL line; key order is part of the format.
 
-    Pose fields are the post-step values; the obstacle list is the post-move,
+    Pose fields are the post-step values (``"row"`` is ``tick + 1``); the obstacle list is the post-move,
     post-spawn snapshot, so each obstacle's ``"row"`` is ``row_at(tick + 1)``.
     The line is formatted directly: every numeric field is an int (each value
     type rejects anything else) and every status value is a plain lowercase
@@ -379,7 +374,7 @@ def trace_json_line(record: TickTrace) -> str:
         [f'{{"track":{o.track},"row":{o.row0 + o.direction * t},"dir":{o.direction}}}' for o in record.obstacles]
     )
     return (
-        f'{{"tick":{record.tick},"row":{after.row},"left_lane":{after.left_lane},"altitude":{after.altitude},'
+        f'{{"tick":{record.tick},"row":{t},"left_lane":{after.left_lane},"altitude":{after.altitude},'
         f'"s1":{s.s1},"s2":{s.s2},"m1":{m.m1},"m2":{m.m2},"m3":{m.m3},'
         f'"obstacles":[{obstacles}],"status":"{record.status._value_}"}}'
     )

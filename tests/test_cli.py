@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import depth_by_peeling
+from conftest import brain as brain_rows
+from conftest import depth_by_peeling, pin_failure, reference_episode
 from qbraitenberg import brain, cli
 from qbraitenberg.brain import build_robot_circuit, control_table
 from qbraitenberg.circuit import Circuit, h, lower
@@ -198,9 +199,21 @@ class TestGameRun:
         path = tmp_path / "t.jsonl"
         code, out, _ = run_cli(capsys, "game-run", "--seed", "0", "--episodes", "50", "--trace-out", str(path))
         assert code == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        if hashlib.sha256(path.read_bytes()).hexdigest() != (
             "ca0c3785849692a44900d9054e9066ec3b48eb80737de1381668d276f0f1f4c3"
-        )
+        ):
+            # episode i is seed i, driven by the quantum brain, whose table is the paper's FLRT, from lane 2
+            episodes = []
+            for line in path.read_text().splitlines():
+                if line.startswith('{"tick":0,') or not episodes:
+                    episodes.append([])
+                episodes[-1].append(line)
+            episodes += [[]] * (50 - len(episodes))
+            paper = brain_rows("FLRT")
+            pytest.fail(pin_failure(
+                (f"episode {i} (seed {i}, brain FLRT)", lines, reference_episode(GameConfig(seed=i), 2, paper)[3])
+                for i, lines in enumerate(episodes)
+            ))
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "56391499dc9632fd918848aa751467d486c911eb3724f9575ce0d33909450697"
         )

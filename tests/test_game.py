@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import NamedInt
+from conftest import (
+    NamedInt,
+    brain,
+    first_trace_difference,
+    pin_failure,
+    reference_episode,
+    reference_splitmix64,
+    reference_trace_json_line,
+)
 from qbraitenberg import game
 from qbraitenberg.brain import SENSOR_INPUTS, MotorOutput, SensorInput, control_table
 from qbraitenberg.game import (
@@ -31,124 +39,33 @@ from qbraitenberg.game import (
 
 QUIET = GameConfig(spawn_prob=0.0)
 TRACE_RECORD = TickTrace(
-    4, RobotPose(5, 1, 0), SensorInput(0, 1), MotorOutput(0, 1, 0), (Obstacle(2, 12, -1),), EpisodeStatus.RUNNING
+    4, RobotPose(1, 0), SensorInput(0, 1), MotorOutput(0, 1, 0), (Obstacle(2, 12, -1),), EpisodeStatus.RUNNING
 )
-MASK64 = (1 << 64) - 1
 #: The paper's brain as ``step`` takes it: four rows in ``SENSOR_INPUTS`` order.
 PAPER_ROWS = tuple(control_table()[s] for s in SENSOR_INPUTS)
 #: One road per sensor input, in row order: clear, track 2, track 1, both tracks lit.
 FOUR_ROADS = ((), (Obstacle(2, 2, -1),), (Obstacle(1, 2, -1),), (Obstacle(1, 2, -1), Obstacle(2, 3, 1)))
 #: Lane of each obstacle track, for the collision rule's general form.
 TRACK_LANES = {1: 1, 2: 4}
+#: Config overrides of the sha256 trace pin; all but the last spawn obstacles.
+PIN_CONFIGS = (
+    {},
+    {"spawn_horizon": 9},
+    {"spawn_horizon": 11, "min_gap": 0, "spawn_prob": 0.5},
+    {"detection_window": 2, "spawn_horizon": 3, "spawn_prob": 1.0},
+    {"spawn_prob": 0.0},
+)
 
 
-def reference_splitmix64(seed):
-    """Scalar splitmix64 as published: one state step and one mix per output."""
-    state = seed & MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        yield z ^ (z >> 31)
-
-
-def collides_in_general_form(robot, o, t):
+def collides_in_general_form(robot, row, o, t):
     """The collision rule as first written, per obstacle: lane arithmetic and a swept clause for either direction."""
-    offset = o.row0 + o.direction * t - robot.row
+    offset = o.row0 + o.direction * t - row
     return robot.altitude == 0 and (offset == 0 or offset - o.direction + 1 > 0 > offset) and 0 <= TRACK_LANES[o.track] - robot.left_lane <= 1
-
-
-def reference_trace_json_line(record):
-    """The dict-plus-``json.dumps`` serializer that ``trace_json_line`` replaced, kept as its oracle."""
-    payload = {
-        "tick": record.tick,
-        "row": record.after.row,
-        "left_lane": record.after.left_lane,
-        "altitude": record.after.altitude,
-        "s1": record.sensors.s1,
-        "s2": record.sensors.s2,
-        "m1": record.motors.m1,
-        "m2": record.motors.m2,
-        "m3": record.motors.m3,
-        "obstacles": [{"track": o.track, "row": o.row_at(record.tick + 1), "dir": o.direction} for o in record.obstacles],
-        "status": record.status.value,
-    }
-    return json.dumps(payload, separators=(",", ":"))
-
-
-#: The four behaviours a brain row can take, by letter: forward, left turn, right turn, take-off.
-BEHAVIOURS = {"F": MotorOutput(1, 1, 0), "L": MotorOutput(0, 1, 0), "R": MotorOutput(1, 0, 0), "T": MotorOutput(0, 0, 1)}
-
-
-def brain(letters):
-    """Four rows in ``SENSOR_INPUTS`` order, one behaviour letter each: the paper's is ``"FLRT"``."""
-    return tuple(BEHAVIOURS[c] for c in letters)
-
-
-def reference_episode(config, start_lane, rows):
-    """The game as README states its rules, played literally: (status, ticks, collision tick, trace lines).
-
-    Written from the rules, not from ``step``: each obstacle is a mutable
-    ``[track, row, dir]`` moved one row per tick, and each coin is drawn from
-    the scalar splitmix64.
-    """
-    draws = reference_splitmix64(config.seed)
-    row, lane, altitude = 0, start_lane, 0
-    obstacles, status, collision_tick, lines = [], "running", None, []
-    tick = 0
-    while status == "running":
-        # Sense: a track lights when one of its obstacles is 1..detection_window rows ahead.
-        ahead = range(row + 1, row + config.detection_window + 1)
-        s1 = int(any(track == 1 and r in ahead for track, r, _ in obstacles))
-        s2 = int(any(track == 2 and r in ahead for track, r, _ in obstacles))
-        motors = rows[2 * s1 + s2]
-        # Act: the propeller lifts the robot in its lane; otherwise it lands, and one wheel alone veers.
-        ahead_before = {id(o): o[1] - row for o in obstacles}
-        altitude = motors.m3
-        if motors.m1 and not motors.m2 and lane < 3:
-            lane += 1  # left wheel alone: one lane right
-        if motors.m2 and not motors.m1 and lane > 1:
-            lane -= 1  # right wheel alone: one lane left
-        row += 1
-        # Every obstacle moves one row along its direction.
-        for o in obstacles:
-            o[1] += o[2]
-        # A grounded robot hits an obstacle in one of its two lanes that shares its row,
-        # or that was ahead of it before the tick and is behind it after.
-        for o in obstacles:
-            obstacle_lane = 1 if o[0] == 1 else 4
-            offset = o[1] - row
-            if altitude == 0 and obstacle_lane in (lane, lane + 1) and (offset == 0 or ahead_before[id(o)] > 0 > offset):
-                status, collision_tick = "collided", tick
-                break
-        # Obstacles more than two rows behind the robot leave the road.
-        obstacles = [o for o in obstacles if o[1] >= row - 2]
-        # Spawn, track 1 then track 2: a coin below spawn_prob, then room within min_gap, then a direction coin.
-        spawn_row = row + config.spawn_horizon
-        for track in (1, 2):
-            if (next(draws) >> 11) * 2.0**-53 >= config.spawn_prob:
-                continue
-            if any(t == track and abs(r - spawn_row) <= config.min_gap for t, r, _ in obstacles):
-                continue
-            direction = -1 if (next(draws) >> 11) * 2.0**-53 < 0.5 else 1
-            obstacles.append([track, spawn_row, direction])
-        if status == "running" and row >= config.road_length:
-            status = "won"
-        if status == "running" and tick + 1 >= config.max_ticks:
-            status = "timed_out"
-        # The record of ``tick`` holds each obstacle's row after the move, which is ``row_at(tick + 1)``.
-        snapshot = tuple(Obstacle(track, r - d * (tick + 1), d) for track, r, d in obstacles)
-        record = TickTrace(tick, RobotPose(row, lane, altitude), SensorInput(s1, s2), motors, snapshot,
-                           EpisodeStatus(status))
-        lines.append(reference_trace_json_line(record))
-        tick += 1
-    return status, tick, collision_tick, lines
 
 
 def played_episode(config, start_lane, rows):
     """The same four results from ``step``, for a robot that starts in ``start_lane``."""
-    state = make_state(config, RobotPose(0, start_lane, 0))
+    state = make_state(config, RobotPose(start_lane, 0))
     while state.status is EpisodeStatus.RUNNING:
         step(state, rows)
     return state.status.value, state.tick, state.collision_tick, [trace_json_line(r) for r in state.trace]
@@ -169,10 +86,11 @@ def game_configs(draw):
     )
 
 
-def make_state(config=QUIET, robot=RobotPose(), obstacles=()):
+def make_state(config=QUIET, robot=RobotPose(), obstacles=(), tick=0):
     state = new_game(config)
     state.robot = robot
     state.obstacles = list(obstacles)
+    state.tick = tick
     return state
 
 
@@ -304,21 +222,20 @@ class TestAct:
     @pytest.mark.parametrize("motors,lanes,altitude", ACT_TABLE)
     def test_rule_table(self, motors, lanes, altitude, altitude_before):
         for lane_before, lane in zip((1, 2, 3), lanes):
-            state = make_state(robot=RobotPose(7, lane_before, altitude_before))
+            state = make_state(robot=RobotPose(lane_before, altitude_before))
             act(state, motors)
-            assert state.robot == RobotPose(8, lane, altitude), lane_before
+            assert state.robot == RobotPose(lane, altitude), lane_before
+            assert state.robot is game._POSES[lane, altitude], lane_before
 
-    def test_pose_cache_stays_bounded(self):
-        maxsize = game._pose.cache_info().maxsize
-        result = run_episode(GameConfig(road_length=maxsize + 50, spawn_prob=0.0), "classical")
-        assert result.status is EpisodeStatus.WON
-        assert game._pose.cache_info().currsize <= maxsize
-        assert [r.after for r in result.trace] == [RobotPose(t + 1, 2, 0) for t in range(maxsize + 50)]
-        for row, lane, motors in [(0, 2, MotorOutput(1, 0, 0)), (maxsize, 1, MotorOutput(0, 0, 1))]:
-            state = make_state(robot=RobotPose(row, lane, 0))
-            act(state, motors)
-            assert type(state.robot) is RobotPose
-            assert state.robot == RobotPose(row + 1, lane + motors.m1, motors.m3)
+    def test_poses_are_the_six_prebuilt_ones(self):
+        # the six (left_lane, altitude) pairs, validated once; act hands out these objects and builds none
+        assert {key: (pose.left_lane, pose.altitude) for key, pose in game._POSES.items()} == {
+            (lane, altitude): (lane, altitude) for lane in (1, 2, 3) for altitude in (0, 1)
+        }
+        assert all(type(pose) is RobotPose for pose in game._POSES.values())
+        trace = run_episode(GameConfig(seed=7, **PIN_CONFIGS[2]), "classical").trace
+        assert len({r.after for r in trace}) == 4  # a busy road: veers and a flight
+        assert all(r.after is game._POSES[r.after.left_lane, r.after.altitude] for r in trace)
 
 
 class TestSpawn:
@@ -331,7 +248,7 @@ class TestSpawn:
         state = make_state(GameConfig(spawn_prob=1.0))
         spawn_obstacles(state)
         assert [o.track for o in state.obstacles] == [1, 2]
-        assert all(o.row_at(state.tick) == state.robot.row + 10 for o in state.obstacles)
+        assert all(o.row_at(state.tick) == state.tick + 10 for o in state.obstacles)
 
     def test_existing_obstacle_blocks_spawn(self):
         blocker = Obstacle(1, 10, 1)
@@ -375,9 +292,9 @@ class TestSpawn:
 
 class TestStep:
     def test_empty_road_advances_quietly(self):
-        state = make_state(robot=RobotPose(5, 2, 0))
+        state = make_state(tick=5)
         step(state, PAPER_ROWS)
-        assert state.robot.row == 6
+        assert state.tick == 6
         assert state.status is EpisodeStatus.RUNNING
         record = state.trace[-1]
         assert record.sensors == SensorInput(0, 0)
@@ -386,26 +303,26 @@ class TestStep:
     def test_threat_on_track1_is_dodged(self):
         # hand-simulated: sense at offset 2, veer right, obstacle reaches the
         # robot's row on lane 1 while the robot now covers lanes 2-3
-        state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
+        state = make_state(robot=RobotPose(1, 0), obstacles=[Obstacle(1, 2, -1)])
         step(state, PAPER_ROWS)
         assert state.trace[-1].sensors == SensorInput(1, 0)
         assert state.trace[-1].motors == MotorOutput(1, 0, 0)
-        assert state.robot == RobotPose(1, 2, 0)
+        assert (state.tick, state.robot) == (1, RobotPose(2, 0))
         assert [(o.track, o.row_at(state.tick), o.direction) for o in state.obstacles] == [(1, 1, -1)]
         assert state.status is EpisodeStatus.RUNNING
 
     def test_double_threat_is_overflown(self):
-        state = make_state(robot=RobotPose(0, 2, 0),
+        state = make_state(robot=RobotPose(2, 0),
                            obstacles=[Obstacle(1, 2, -1), Obstacle(2, 2, -1)])
         step(state, PAPER_ROWS)
         assert state.trace[-1].motors == MotorOutput(0, 0, 1)
-        assert state.robot == RobotPose(1, 2, 1)
+        assert (state.tick, state.robot) == (1, RobotPose(2, 1))
         assert all(o.row_at(state.tick) == 1 for o in state.obstacles)
         assert state.status is EpisodeStatus.RUNNING
 
     def test_grounded_robot_collides_without_evasion(self):
         # a brain that ignores its sensors drives straight into the obstacle
-        state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
+        state = make_state(robot=RobotPose(1, 0), obstacles=[Obstacle(1, 2, -1)])
         step(state, (MotorOutput(1, 1, 0),) * 4)
         assert state.status is EpisodeStatus.COLLIDED
         assert state.collision_tick == 0
@@ -414,7 +331,7 @@ class TestStep:
     def test_oncoming_obstacle_at_odd_offset_cannot_tunnel(self, offset):
         # closing two rows per tick, the obstacle skips offset 0 and goes
         # from +1 to -1 on the tick (offset - 1) / 2
-        state = make_state(robot=RobotPose(0, 3, 0), obstacles=[Obstacle(2, offset, -1)])
+        state = make_state(robot=RobotPose(3, 0), obstacles=[Obstacle(2, offset, -1)])
         while state.status is EpisodeStatus.RUNNING and state.tick <= offset:
             step(state, (MotorOutput(1, 1, 0),) * 4)
         assert state.status is EpisodeStatus.COLLIDED
@@ -427,10 +344,10 @@ class TestStep:
         rows = (MotorOutput(0, 0, altitude),) * 4  # hold the lane, at this altitude
         for track, direction, offset in itertools.product((1, 2), (-1, 1), range(-3, 4)):
             o = Obstacle(track, 1 + offset - direction, direction)  # at row 1 + offset after the first move
-            state = step(make_state(robot=RobotPose(0, left_lane, 0), obstacles=[o]), rows)
+            state = step(make_state(robot=RobotPose(left_lane, 0), obstacles=[o]), rows)
             robot, t = state.robot, state.tick
-            assert (robot.row, robot.left_lane, robot.altitude, t) == (1, left_lane, altitude, 1)
-            expected = collides_in_general_form(robot, o, t)
+            assert (robot.left_lane, robot.altitude, t) == (left_lane, altitude, 1)
+            expected = collides_in_general_form(robot, 1, o, t)
             assert (state.status is EpisodeStatus.COLLIDED) == expected, (track, direction, offset)
             assert state.collision_tick == (0 if expected else None)
 
@@ -442,24 +359,24 @@ class TestStep:
             step(state, (MotorOutput(1, 1, 0),) * n)
 
     def test_flying_robot_is_safe_at_same_row(self):
-        state = make_state(robot=RobotPose(0, 1, 0), obstacles=[Obstacle(1, 2, -1)])
+        state = make_state(robot=RobotPose(1, 0), obstacles=[Obstacle(1, 2, -1)])
         step(state, (MotorOutput(0, 0, 1),) * 4)
         assert state.status is EpisodeStatus.RUNNING
 
     def test_despawn_behind_robot(self):
-        state = make_state(robot=RobotPose(10, 2, 0), obstacles=[Obstacle(1, 5, -1)])
+        state = make_state(obstacles=[Obstacle(1, 15, -1)], tick=10)  # row_at(10) == 5
         step(state, PAPER_ROWS)
         assert state.obstacles == []
 
     def test_win_at_finish_line(self):
-        state = make_state(GameConfig(road_length=5, spawn_prob=0.0), robot=RobotPose(4, 2, 0))
+        state = make_state(GameConfig(road_length=5, spawn_prob=0.0), tick=4)
         step(state, PAPER_ROWS)
         assert state.status is EpisodeStatus.WON
 
     def test_each_road_drives_its_own_row(self):
         # four distinct rows with four distinct moves, so a swapped row index cannot pass
         rows = (MotorOutput(0, 1, 0), MotorOutput(0, 0, 1), MotorOutput(1, 1, 0), MotorOutput(1, 0, 0))
-        moved = (RobotPose(1, 1, 0), RobotPose(1, 2, 1), RobotPose(1, 2, 0), RobotPose(1, 3, 0))
+        moved = (RobotPose(1, 0), RobotPose(2, 1), RobotPose(2, 0), RobotPose(3, 0))
         for i, road in enumerate(FOUR_ROADS):
             state = step(make_state(obstacles=road), rows)
             record = state.trace[-1]
@@ -526,7 +443,7 @@ class TestRunEpisode:
                 assert flying == (record.sensors == SensorInput(1, 1))
                 # anything reaching the robot's row was sensed the same tick
                 for obstacle in record.obstacles:
-                    if obstacle.row_at(record.tick + 1) == record.after.row:
+                    if obstacle.row_at(record.tick + 1) == record.tick + 1:
                         sensed = record.sensors.s1 if obstacle.track == 1 else record.sensors.s2
                         assert sensed == 1
 
@@ -552,22 +469,28 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0, got {re.escape(repr(value))}$"):
             EpisodeResult(**fields)
 
-    def test_approach_monotonicity(self):
-        result = run_episode(GameConfig(seed=3, spawn_prob=0.9), "classical")
-        for record in result.trace:
-            for obstacle in record.obstacles:
-                offset = obstacle.row_at(record.tick + 1) - record.after.row
-                if obstacle.direction == 1:
-                    assert offset == 10  # spawned at the horizon; never approaches
-                else:
-                    assert offset in (10, 8, 6, 4, 2, 0, -2)  # closes 2 rows per tick
+    @pytest.mark.parametrize("overrides", PIN_CONFIGS[:4] + ({"spawn_prob": 0.9},))
+    def test_approach_monotonicity(self, overrides):
+        # the robot's row is the tick, so an obstacle's offset from it is row0 + (direction - 1) * tick
+        for seed in range(20):
+            config = GameConfig(seed=seed, **overrides)
+            h = config.spawn_horizon
+            for record in run_episode(config, "classical").trace:
+                t = record.tick + 1
+                for obstacle in record.obstacles:
+                    if obstacle.direction == 1:
+                        # spawned at the horizon, a receding obstacle stays parked there and never approaches
+                        assert obstacle.row0 == h, (seed, record.tick)
+                    else:
+                        # closes 2 rows per tick until it is left more than two rows behind
+                        assert obstacle.row_at(t) - t in range(h, -3, -2), (seed, record.tick)
 
 
 class TestTraceFormat:
     def test_jsonl_key_order_and_values(self):
         record = TickTrace(
             tick=4,
-            after=RobotPose(5, 1, 0),
+            after=RobotPose(1, 0),
             sensors=SensorInput(0, 1),
             motors=MotorOutput(0, 1, 0),
             obstacles=(Obstacle(2, 12, -1),),  # row_at(5) == 7
@@ -593,37 +516,45 @@ class TestTraceFormat:
         while blind.status is EpisodeStatus.RUNNING:
             step(blind, (veer,) * 4)
         for record in run_episode(config, "classical").trace + tuple(blind.trace):
-            assert trace_json_line(record) == reference_trace_json_line(record)
+            assert trace_json_line(record) == reference_trace_json_line(record, record.tick + 1)
 
     def test_bytes_pinned_across_configs_and_brains(self):
-        # sha256 over outcome and every trace line; the digest was taken before obstacles were built once
-        configs = (
-            {},
-            {"spawn_horizon": 9},
-            {"spawn_horizon": 11, "min_gap": 0, "spawn_prob": 0.5},
-            {"detection_window": 2, "spawn_horizon": 3, "spawn_prob": 1.0},
-            {"spawn_prob": 0.0},
-        )
-        blind_brains = (MotorOutput(1, 1, 0), MotorOutput(0, 1, 0), MotorOutput(1, 0, 0))
+        # sha256 over outcome and every trace line; the digest was taken before obstacles were built once.
+        # The classical brain is the paper's table, FLRT; the three blind brains drive one behaviour always.
         digest = hashlib.sha256()
         collided = 0
-        for overrides in configs:
+        runs = []
+        for overrides in PIN_CONFIGS:
             for seed in range(4):
                 config = GameConfig(seed=seed, **overrides)
                 result = run_episode(config, "classical")
-                runs = [(result.status, result.ticks_elapsed, result.collision_tick, result.trace)]
-                for motors in blind_brains:
+                runs.append((overrides, config, "FLRT", result.status, result.ticks_elapsed, result.collision_tick,
+                             result.trace))
+                for letters in ("FFFF", "LLLL", "RRRR"):
                     state = new_game(config)
                     while state.status is EpisodeStatus.RUNNING:
-                        step(state, (motors,) * 4)
-                    runs.append((state.status, state.tick, state.collision_tick, state.trace))
-                for status, ticks, collision_tick, trace in runs:
-                    collided += status is EpisodeStatus.COLLIDED
-                    digest.update(f"{status.value} {ticks} {collision_tick}\n".encode())
-                    for record in trace:
-                        digest.update(trace_json_line(record).encode() + b"\n")
+                        step(state, brain(letters))
+                    runs.append((overrides, config, letters, state.status, state.tick, state.collision_tick,
+                                 state.trace))
+        for *_, status, ticks, collision_tick, trace in runs:
+            collided += status is EpisodeStatus.COLLIDED
+            digest.update(f"{status.value} {ticks} {collision_tick}\n".encode())
+            for record in trace:
+                digest.update(trace_json_line(record).encode() + b"\n")
+        if digest.hexdigest() != "fc5a61488ac485608858ef7b6ce6642b6f3dd65fdb2121199a4bb7c300671e33":
+            pytest.fail(pin_failure(
+                (f"config {overrides}, seed {config.seed}, brain {letters}", [trace_json_line(r) for r in trace],
+                 reference_episode(config, 2, brain(letters))[3])
+                for overrides, config, letters, *_, trace in runs
+            ))
         assert collided == 14
-        assert digest.hexdigest() == "fc5a61488ac485608858ef7b6ce6642b6f3dd65fdb2121199a4bb7c300671e33"
+
+    def test_first_trace_difference_names_line_tick_and_key(self):
+        expected = [trace_json_line(r) for r in run_episode(GameConfig(seed=0, road_length=5), "classical").trace]
+        changed = expected[:3] + [expected[3].replace('"left_lane":2', '"left_lane":1')] + expected[4:]
+        assert first_trace_difference(expected, expected) is None
+        assert first_trace_difference(changed, expected) == 'line 4 (tick 3): "left_lane" got 1, expected 2'
+        assert first_trace_difference(expected[:4], expected) == "4 lines, expected 5"
 
     def test_obstacles_are_built_once(self):
         # each snapshot is the previous one's surviving objects, then those spawned on that tick
@@ -633,11 +564,11 @@ class TestTraceFormat:
         spawned = carried = 0
         for prev, record in zip(state.trace, state.trace[1:]):
             t = record.tick + 1
-            kept = [o for o in prev.obstacles if o.row_at(t) >= record.after.row - 2]
+            kept = [o for o in prev.obstacles if o.row_at(t) >= t - 2]
             new = record.obstacles[len(kept):]
             assert len(record.obstacles) >= len(kept)
             assert all(o is p for o, p in zip(record.obstacles, kept))
-            assert all(o.row_at(t) == record.after.row + state.config.spawn_horizon for o in new)
+            assert all(o.row_at(t) == t + state.config.spawn_horizon for o in new)
             spawned += len(new)
             carried += len(kept)
         assert (spawned, carried) == (4, 94)
@@ -667,11 +598,9 @@ class TestReferenceGame:
 class TestPoseAndObstacleTypes:
     def test_pose_validation(self):
         with pytest.raises(ValueError, match=r"^left_lane must be one of 1, 2, 3, got 4$"):
-            RobotPose(0, 4, 0)
-        with pytest.raises(ValueError, match=r"^row must be >= 0, got -1$"):
-            RobotPose(-1, 2, 0)
+            RobotPose(4, 0)
         with pytest.raises(ValueError, match=r"^altitude must be one of 0, 1, got 2$"):
-            RobotPose(0, 2, 2)
+            RobotPose(2, 2)
 
     def test_row_at_is_affine_in_the_tick(self):
         oncoming = Obstacle(1, 30, -1)  # spawned at row 20 on tick 10
@@ -687,11 +616,11 @@ class TestPoseAndObstacleTypes:
 
     @pytest.mark.parametrize(
         "args,field,value",
-        [((True, 2, 0), "row", "True"), ((0, 1.0, 0), "left_lane", "1.0"), ((0, 2, False), "altitude", "False"),
-         ((np.int64(0), 2, 0), "row", "np.int64(0)"), ((0, 2, True), "altitude", "True")],
+        [((True, 0), "left_lane", "True"), ((1.0, 0), "left_lane", "1.0"), ((2, False), "altitude", "False"),
+         ((np.int64(2), 0), "left_lane", "np.int64(2)"), ((2, True), "altitude", "True")],
     )
     def test_pose_fields_must_be_ints(self, args, field, value):
-        # without the check RobotPose(True, 1.0, 0) is accepted and serialized as "row":true
+        # without the check RobotPose(True, 0) is accepted and serialized as "left_lane":true
         with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(value)}$"):
             RobotPose(*args)
 
@@ -708,10 +637,10 @@ class TestPoseAndObstacleTypes:
     def test_tick_must_be_a_non_negative_int(self, tick):
         message = rf"^tick must be an int >= 0, got {re.escape(repr(tick))}$"
         with pytest.raises(ValueError, match=message):
-            TickTrace(tick, RobotPose(1), SensorInput(0, 0), MotorOutput(1, 1, 0), (), EpisodeStatus.RUNNING)
+            TickTrace(tick, RobotPose(), SensorInput(0, 0), MotorOutput(1, 1, 0), (), EpisodeStatus.RUNNING)
         with pytest.raises(ValueError, match=message):
             TickTrace(
-                tick=tick, after=RobotPose(1), sensors=SensorInput(0, 0), motors=MotorOutput(1, 1, 0),
+                tick=tick, after=RobotPose(), sensors=SensorInput(0, 0), motors=MotorOutput(1, 1, 0),
                 obstacles=(), status=EpisodeStatus.RUNNING,
             )
         with pytest.raises(ValueError, match=message):
