@@ -40,8 +40,6 @@ from .circuit import (
     h,
     lower,
     polarity_lower,
-    s,
-    sdg,
     t,
     tdg,
     x,

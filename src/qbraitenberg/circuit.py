@@ -166,14 +166,6 @@ def h(qubit: int) -> CircuitOp:
     return CircuitOp(GateKind.H, (), (qubit,))
 
 
-def s(qubit: int) -> CircuitOp:
-    return CircuitOp(GateKind.S, (), (qubit,))
-
-
-def sdg(qubit: int) -> CircuitOp:
-    return CircuitOp(GateKind.SDG, (), (qubit,))
-
-
 def t(qubit: int) -> CircuitOp:
     return CircuitOp(GateKind.T, (), (qubit,))
 

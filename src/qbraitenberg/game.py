@@ -219,9 +219,9 @@ class TickTrace(_TickFields):
 class GameState:
     """Mutable episode state; owned by exactly one caller at a time.
 
-    ``tick`` counts the steps taken so far and is the robot's row; each live
-    obstacle's row is ``row_at(tick)``. Obstacles are immutable and shared with
-    every ``TickTrace`` snapshot that holds them.
+    ``tick`` counts the steps taken so far and is the robot's row; a collision ends
+    the episode, on tick ``tick - 1``, its last record's. Each live obstacle's row is
+    ``row_at(tick)``; obstacles are immutable and shared with every ``TickTrace`` that holds them.
     """
 
     config: GameConfig
@@ -230,7 +230,6 @@ class GameState:
     rng: SplitMix64
     tick: int = 0
     status: EpisodeStatus = _RUNNING
-    collision_tick: int | None = None
     trace: list[TickTrace] = field(default_factory=list)
 
 
@@ -238,13 +237,10 @@ class GameState:
 class EpisodeResult:
     status: EpisodeStatus
     ticks_elapsed: int
-    collision_tick: int | None
     trace: tuple[TickTrace, ...]
 
     def __post_init__(self) -> None:
         require_int("ticks_elapsed", self.ticks_elapsed, 0)
-        if self.collision_tick is not None:
-            require_int("collision_tick", self.collision_tick, 0)
 
 
 def new_game(config: GameConfig) -> GameState:
@@ -328,7 +324,6 @@ def step(state: GameState, rows: tuple[MotorOutput, ...]) -> GameState:
                 offset = o.row0 + (o.direction - 1) * t
                 if offset == 0 or (offset == -1 and o.direction == -1):
                     state.status = _COLLIDED
-                    state.collision_tick = tick
                     break
 
     behind = t - 2
@@ -356,7 +351,7 @@ def run_episode(config: GameConfig, brain_kind: str = "quantum") -> EpisodeResul
     state = new_game(config)
     while state.status is _RUNNING:
         step(state, rows)
-    return EpisodeResult(state.status, state.tick, state.collision_tick, tuple(state.trace))
+    return EpisodeResult(state.status, state.tick, tuple(state.trace))
 
 
 def trace_json_line(record: TickTrace) -> str:

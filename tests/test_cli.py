@@ -252,26 +252,23 @@ class TestGameRun:
         code, out, _ = run_cli(capsys, "game-run", "--config", str(config), "--episodes", "1", "--seed", "3")
         assert "seed=3" in out
 
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, reason", [
+        ("{not json", "malformed config: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"lanes": 8}', "invalid config: unknown config fields: ['lanes']"),
+        ('{"seed": 1.5}', "invalid config: seed must be an int, got 1.5"),
+        ("[1, 2]", "config must be a JSON object"),
+        (None, "cannot read config: [Errno 21] Is a directory: {path!r}"),  # None: the path is a directory
+    ], ids=["malformed", "unknown-field", "non-int-seed", "not-an-object", "directory"])
+    def test_bad_config_is_usage_error_naming_why(self, tmp_path, capsys, text, reason):
         config = tmp_path / "bad.json"
-        config.write_text("{not json")
+        if text is None:
+            config.mkdir()
+        else:
+            config.write_text(text)
         with pytest.raises(SystemExit) as excinfo:
             main(["game-run", "--config", str(config)])
-        assert excinfo.value.code != 0
-
-    def test_unknown_config_field_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"lanes": 8}))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["game-run", "--config", str(config)])
-        assert excinfo.value.code != 0
-
-    def test_non_int_config_seed_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"seed": 1.5}))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["game-run", "--config", str(config)])
-        assert excinfo.value.code != 0
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"qbraitenberg: error: {reason.format(path=str(config))}"
 
     def test_zero_episodes_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -279,7 +276,7 @@ class TestGameRun:
         assert excinfo.value.code != 0
 
     def test_collision_forces_nonzero_exit(self, capsys, monkeypatch):
-        collided = EpisodeResult(EpisodeStatus.COLLIDED, 7, 6, ())
+        collided = EpisodeResult(EpisodeStatus.COLLIDED, 7, ())
         monkeypatch.setattr(cli, "run_episode", lambda config, kind: collided)
         code, out, _ = run_cli(capsys, "game-run", "--episodes", "1")
         assert code == 1

@@ -68,7 +68,8 @@ def played_episode(config, start_lane, rows):
     state = make_state(config, RobotPose(start_lane, 0))
     while state.status is EpisodeStatus.RUNNING:
         step(state, rows)
-    return state.status.value, state.tick, state.collision_tick, [trace_json_line(r) for r in state.trace]
+    collision_tick = state.tick - 1 if state.status is EpisodeStatus.COLLIDED else None
+    return state.status.value, state.tick, collision_tick, [trace_json_line(r) for r in state.trace]
 
 
 @st.composite
@@ -324,18 +325,17 @@ class TestStep:
         # a brain that ignores its sensors drives straight into the obstacle
         state = make_state(robot=RobotPose(1, 0), obstacles=[Obstacle(1, 2, -1)])
         step(state, (MotorOutput(1, 1, 0),) * 4)
-        assert state.status is EpisodeStatus.COLLIDED
-        assert state.collision_tick == 0
+        assert (state.status, state.tick) == (EpisodeStatus.COLLIDED, 1)
 
     @pytest.mark.parametrize("offset", [1, 3, 5])
     def test_oncoming_obstacle_at_odd_offset_cannot_tunnel(self, offset):
         # closing two rows per tick, the obstacle skips offset 0 and goes
-        # from +1 to -1 on the tick (offset - 1) / 2
+        # from +1 to -1 on the tick (offset - 1) / 2, which ends the episode
         state = make_state(robot=RobotPose(3, 0), obstacles=[Obstacle(2, offset, -1)])
         while state.status is EpisodeStatus.RUNNING and state.tick <= offset:
             step(state, (MotorOutput(1, 1, 0),) * 4)
         assert state.status is EpisodeStatus.COLLIDED
-        assert state.collision_tick == (offset - 1) // 2
+        assert state.tick == (offset + 1) // 2
 
     @pytest.mark.parametrize("altitude", [0, 1])
     @pytest.mark.parametrize("left_lane", [1, 2, 3])
@@ -349,7 +349,6 @@ class TestStep:
             assert (robot.left_lane, robot.altitude, t) == (left_lane, altitude, 1)
             expected = collides_in_general_form(robot, 1, o, t)
             assert (state.status is EpisodeStatus.COLLIDED) == expected, (track, direction, offset)
-            assert state.collision_tick == (0 if expected else None)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_brain_of_wrong_length_rejected(self, n):
@@ -394,7 +393,6 @@ class TestRunEpisode:
         result = run_episode(GameConfig(spawn_prob=0.0, road_length=50))
         assert result.status is EpisodeStatus.WON
         assert result.ticks_elapsed == 50
-        assert result.collision_tick is None
         assert all(r.sensors == SensorInput(0, 0) for r in result.trace)
         assert all(r.motors == MotorOutput(1, 1, 0) for r in result.trace)
 
@@ -462,10 +460,10 @@ class TestRunEpisode:
         else:
             assert (state.status, state.tick) == (EpisodeStatus.TIMED_OUT, config.max_ticks)
 
-    @pytest.mark.parametrize("field", ["ticks_elapsed", "collision_tick"])
+    @pytest.mark.parametrize("field", ["ticks_elapsed"])
     @pytest.mark.parametrize("value", [True, 1.5, -1])
     def test_result_tick_fields_must_be_non_negative_ints(self, field, value):
-        fields = {"status": EpisodeStatus.COLLIDED, "ticks_elapsed": 7, "collision_tick": 6, "trace": (), field: value}
+        fields = {"status": EpisodeStatus.COLLIDED, "ticks_elapsed": 7, "trace": (), field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be an int >= 0, got {re.escape(repr(value))}$"):
             EpisodeResult(**fields)
 
@@ -528,16 +526,16 @@ class TestTraceFormat:
             for seed in range(4):
                 config = GameConfig(seed=seed, **overrides)
                 result = run_episode(config, "classical")
-                runs.append((overrides, config, "FLRT", result.status, result.ticks_elapsed, result.collision_tick,
-                             result.trace))
+                runs.append((overrides, config, "FLRT", result.status, result.ticks_elapsed, result.trace))
                 for letters in ("FFFF", "LLLL", "RRRR"):
                     state = new_game(config)
                     while state.status is EpisodeStatus.RUNNING:
                         step(state, brain(letters))
-                    runs.append((overrides, config, letters, state.status, state.tick, state.collision_tick,
-                                 state.trace))
-        for *_, status, ticks, collision_tick, trace in runs:
-            collided += status is EpisodeStatus.COLLIDED
+                    runs.append((overrides, config, letters, state.status, state.tick, state.trace))
+        for *_, status, ticks, trace in runs:
+            # the hashed line still carries the collision tick, which is the last record's tick
+            collision_tick = ticks - 1 if status is EpisodeStatus.COLLIDED else None
+            collided += collision_tick is not None
             digest.update(f"{status.value} {ticks} {collision_tick}\n".encode())
             for record in trace:
                 digest.update(trace_json_line(record).encode() + b"\n")

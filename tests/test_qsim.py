@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NamedInt, marginal_by_enumeration, permutation_matrix, random_circuit, random_state
+from qbraitenberg import qsim
 from qbraitenberg.brain import build_robot_circuit
 from qbraitenberg.circuit import Circuit, CircuitOp, GateKind, ccx, ccxx, cx, export_qasm, h, x
 from qbraitenberg.qsim import (
@@ -158,9 +159,26 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="unitary"):
             GateMatrix(1, np.array([[1, 0], [1, 1]], dtype=complex))
 
-    def test_nan_matrix_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            GateMatrix(1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateVector(1, [1, 0, 0]), "expected 2 amplitudes, got (3,)"),
+    (lambda: StateVector(1, [NAN, 0]), "amplitudes must be finite"),
+    (lambda: GateMatrix(1, np.eye(4)), "expected a 2x2 matrix, got (4, 4)"),
+    (lambda: GateMatrix(1, np.array([[NAN, 0], [0, 1]], dtype=complex)), "gate entries must be finite"),
+    (lambda: OutcomeDistribution({"0": -0.5, "1": 1.5}), "probabilities must be nonnegative"),
+    (lambda: OutcomeDistribution({"0": 0.5}), "probabilities sum to 0.5, expected 1"),
+    # a NaN compares False both ways, so it would pass the sign and sum checks unnoticed
+    (lambda: OutcomeDistribution({"0": NAN, "1": 1.0}), "probabilities must be finite"),
+    (lambda: OutcomeDistribution({"0": NAN}), "probabilities must be finite"),
+    (lambda: OutcomeDistribution({"0": 0.5, "1": NAN}), "probabilities must be finite"),
+], ids=["amps-shape", "amps-nan", "matrix-shape", "matrix-nan", "probs-negative", "probs-sum",
+        "probs-nan-first", "probs-nan-only", "probs-nan-last"])
+def test_value_check_names_its_fault(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestRunCircuit:
@@ -315,6 +333,18 @@ class TestInvariants:
                               env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert proc.returncode != 0
         assert "RuntimeError: statevector norm drifted by 4.142e-01" in proc.stderr
+
+    def test_norm_drift_raises(self, monkeypatch):
+        # the same non-unitary H in process, so the check's line runs under the suite
+        monkeypatch.setattr(qsim, "_H", np.array([[1, 1], [1, 1]], dtype=complex))
+        with pytest.raises(RuntimeError, match=r"^statevector norm drifted by 4\.142e-01 \(tolerance 1e-09\)$"):
+            run_circuit(Circuit(1, (h(0),)), new_basis_state(1, "0"))
+
+    def test_kernels_partition_gate_kinds(self):
+        # _apply_op flips, phases, or else applies H: a new kind with no kernel must fail here
+        flips, phases, hadamard = set(qsim._FLIPS), set(qsim._PHASES), {GateKind.H}
+        assert not (flips & phases or flips & hadamard or phases & hadamard)
+        assert flips | phases | hadamard == set(GateKind)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -23,7 +23,7 @@ SAMPLES = {
     game.GameConfig: game.GameConfig(),
     game.RobotPose: game.RobotPose(),
     game.Obstacle: game.Obstacle(1, 0, 1),
-    game.EpisodeResult: game.EpisodeResult(game.EpisodeStatus.WON, 1, None, ()),
+    game.EpisodeResult: game.EpisodeResult(game.EpisodeStatus.WON, 1, ()),
     qsim.StateVector: qsim.new_basis_state(1, "0"),
     qsim.GateMatrix: qsim.GateMatrix(1, np.eye(2)),
     qsim.OutcomeDistribution: qsim.OutcomeDistribution({"0": 1.0, "1": 0.0}),
